@@ -5,7 +5,8 @@
 #
 #   scripts/check.sh              # full matrix: plain, asan, ubsan, tsan,
 #                                 # equiv, sparse, service, chaos, gc_lint,
-#                                 # gc_analyze, clang-tidy (if available)
+#                                 # gc_analyze, bench-smoke, clang-tidy
+#                                 # (if available)
 #   scripts/check.sh plain lint   # just those stages
 #   JOBS=8 scripts/check.sh       # override build parallelism
 #
@@ -18,7 +19,7 @@ cd "$(dirname "$0")/.."
 JOBS="${JOBS:-$(nproc 2>/dev/null || echo 2)}"
 STAGES=("$@")
 if [ ${#STAGES[@]} -eq 0 ]; then
-  STAGES=(plain asan ubsan tsan equiv sparse service chaos lint analyze tidy)
+  STAGES=(plain asan ubsan tsan equiv sparse service chaos lint analyze bench-smoke tidy)
 fi
 
 declare -A RESULT
@@ -160,6 +161,18 @@ for stage in "${STAGES[@]}"; do
       else
         RESULT[analyze]="FAIL"; FAILED=1
       fi ;;
+    bench-smoke)
+      # The benchmark's own output checks on tiny inputs, for every
+      # workload traced and untraced: traced == untraced CRC, warm
+      # results bit-equal to cold, mass drift and divergence, and the
+      # result schema. perfbench/run.py builds its driver into
+      # .bench_build/.
+      note "bench-smoke: perfbench output checks on tiny inputs"
+      if python3 perfbench/run.py --smoke; then
+        RESULT[bench-smoke]="ok"
+      else
+        RESULT[bench-smoke]="FAIL"; FAILED=1
+      fi ;;
     tidy)
       if ! command -v clang-tidy > /dev/null 2>&1; then
         RESULT[tidy]="skipped (clang-tidy not installed)"
@@ -180,14 +193,14 @@ for stage in "${STAGES[@]}"; do
       fi ;;
     *)
       echo "check.sh: unknown stage '$stage'" >&2
-      echo "stages: plain asan ubsan tsan equiv sparse service chaos lint analyze tidy" >&2
+      echo "stages: plain asan ubsan tsan equiv sparse service chaos lint analyze bench-smoke tidy" >&2
       exit 2 ;;
   esac
 done
 
-printf '\n%-8s %s\n' "stage" "result"
-printf '%-8s %s\n' "-----" "------"
+printf '\n%-11s %s\n' "stage" "result"
+printf '%-11s %s\n' "-----" "------"
 for stage in "${STAGES[@]}"; do
-  printf '%-8s %s\n' "$stage" "${RESULT[$stage]:-not run}"
+  printf '%-11s %s\n' "$stage" "${RESULT[$stage]:-not run}"
 done
 exit $FAILED

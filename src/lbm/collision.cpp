@@ -1,6 +1,9 @@
 #include "lbm/collision.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <type_traits>
 
 #include "lbm/stream.hpp"
 #include "obs/trace.hpp"
@@ -42,519 +45,393 @@ void collide_bgk_cell(Real f[Q], Real tau, Vec3 force) {
 
 namespace {
 
-/// Collides one bulk span in place: every cell is known Fluid, so the
-/// loop carries no flag test at all.
-void collide_span(Real* const planes[Q], const BgkParams& p, i64 begin,
-                  i32 len) {
-  Real f[Q];
-  for (i32 k = 0; k < len; ++k) {
-    for (int i = 0; i < Q; ++i) f[i] = planes[i][begin + k];
-    collide_bgk_cell(f, p.tau, p.force);
-    for (int i = 0; i < Q; ++i) planes[i][begin + k] = f[i];
+bool is_forced(Vec3 force) {
+  return force.x != 0 || force.y != 0 || force.z != 0;
+}
+
+// ---- the batched collide core ---------------------------------------
+// Every BGK pass (in-place, region-clipped, per-cell forced, fused pull,
+// AA advancing) runs its bulk spans through collide_run: B cells at a
+// time, a moments pass over all lanes, then an equilibrium-and-relax
+// pass. Each lane performs collide_bgk_cell's operation sequence exactly
+// (same summation order, same Guo half-force shift), so the result is
+// bit-identical to the scalar reference; the lane loops have a constant
+// trip count and no aliasing, which is what lets -O2 vectorize them.
+// See DESIGN.md "Collide core".
+
+constexpr int B = 16;  ///< lanes per batch
+
+/// Force policies: kForced selects the Guo forcing term at compile time;
+/// at(cell) is the force on a dense cell.
+struct NoForce {
+  static constexpr bool kForced = false;
+  Vec3 at(i64) const { return {}; }
+};
+struct UniformForce {
+  static constexpr bool kForced = true;
+  Vec3 force;
+  Vec3 at(i64) const { return force; }
+};
+struct FieldForce {
+  static constexpr bool kForced = true;
+  const Vec3* force;
+  Vec3 at(i64 cell) const { return force[cell]; }
+};
+
+/// Calls fn with the force policy for a uniform body force.
+template <class Fn>
+void with_force(Vec3 force, Fn&& fn) {
+  if (is_forced(force)) {
+    fn(UniformForce{force});
+  } else {
+    fn(NoForce{});
   }
 }
 
-/// Collides slices [z0, z1): bulk spans first, then the slow fluid list
-/// (both precomputed — no per-cell flag scanning).
-void collide_z_range(Lattice& lat, const CellClass& cc, const BgkParams& p,
-                     int z0, int z1) {
+/// Collides the B lanes of f in place. Lanes [n, B) are padding; `cell0`
+/// is the dense id of lane 0 (lanes are consecutive dense cells).
+template <class Force>
+void collide_lanes(Real (&f)[Q][B], Real omega, const Force& frc, i64 cell0,
+                   int n) {
+  alignas(64) Real rho[B] = {}, ux[B] = {}, uy[B] = {}, uz[B] = {};
+  alignas(64) Real uu15[B] = {};
+  alignas(64) Real fx[B] = {}, fy[B] = {}, fz[B] = {};
+  alignas(64) std::int32_t forced[B] = {};  // all-ones bit mask per lane
+  if constexpr (Force::kForced) {
+    for (int l = 0; l < n; ++l) {
+      const Vec3 F = frc.at(cell0 + l);
+      fx[l] = F.x;
+      fy[l] = F.y;
+      fz[l] = F.z;
+      forced[l] = is_forced(F) ? -1 : 0;
+    }
+  }
+  const Real fpref = Real(1) - Real(0.5) * omega;  // used by forced lanes
+
+  for (int i = 0; i < Q; ++i) {
+    const Real cx = Real(C[i].x), cy = Real(C[i].y), cz = Real(C[i].z);
+    for (int l = 0; l < B; ++l) {
+      rho[l] += f[i][l];
+      ux[l] += f[i][l] * cx;
+      uy[l] += f[i][l] * cy;
+      uz[l] += f[i][l] * cz;
+    }
+  }
+  for (int l = 0; l < B; ++l) {
+    const Real inv_rho = Real(1) / rho[l];
+    ux[l] = (ux[l] + fx[l] * Real(0.5)) * inv_rho;
+    uy[l] = (uy[l] + fy[l] * Real(0.5)) * inv_rho;
+    uz[l] = (uz[l] + fz[l] * Real(0.5)) * inv_rho;
+    uu15[l] = Real(1.5) * (ux[l] * ux[l] + uy[l] * uy[l] + uz[l] * uz[l]);
+  }
+
+  for (int i = 0; i < Q; ++i) {
+    const Real cx = Real(C[i].x), cy = Real(C[i].y), cz = Real(C[i].z);
+    for (int l = 0; l < B; ++l) {
+      const Real cu = cx * ux[l] + cy * uy[l] + cz * uz[l];
+      const Real feq = W[i] * rho[l] *
+                       (Real(1) + Real(3) * cu + Real(4.5) * cu * cu - uu15[l]);
+      Real fi = f[i][l] - omega * (f[i][l] - feq);
+      if constexpr (Force::kForced) {
+        // An unforced lane keeps fi untouched (selected, not fi + 0).
+        const Real tx = (cx - ux[l]) * Real(3) + cx * (Real(9) * cu);
+        const Real ty = (cy - uy[l]) * Real(3) + cy * (Real(9) * cu);
+        const Real tz = (cz - uz[l]) * Real(3) + cz * (Real(9) * cu);
+        const Real g =
+            fi + fpref * W[i] * (tx * fx[l] + ty * fy[l] + tz * fz[l]);
+        fi = std::bit_cast<Real>((std::bit_cast<std::int32_t>(g) & forced[l]) |
+                                 (std::bit_cast<std::int32_t>(fi) & ~forced[l]));
+      }
+      f[i][l] = fi;
+    }
+  }
+}
+
+/// Collides `len` consecutive cells whose value i is read at rd[i][k] and
+/// written to wr[i][k]. Each batch is loaded whole before any store, so
+/// rd and wr may alias (in-place, AA slot maps).
+template <class Force>
+void collide_run(const Real* const rd[Q], Real* const wr[Q], i64 cell0,
+                 i32 len, Real omega, const Force& frc) {
+  // A full batch copies with a constant trip count (straight 64 B moves);
+  // a span's tail copies only its n cells.
+  alignas(64) Real f[Q][B] = {};
+  for (i32 k = 0; k < len; k += B) {
+    const int n = std::min<i32>(B, len - k);
+    if (n == B) {
+      for (int i = 0; i < Q; ++i)
+        for (int l = 0; l < B; ++l) f[i][l] = rd[i][k + l];
+    } else {
+      // Padding lanes hold the rest state: finite, no denormals.
+      for (int i = 0; i < Q; ++i)
+        for (int l = 0; l < B; ++l) f[i][l] = l < n ? rd[i][k + l] : W[i];
+    }
+    collide_lanes(f, omega, frc, cell0 + k, n);
+    if (n == B) {
+      for (int i = 0; i < Q; ++i)
+        for (int l = 0; l < B; ++l) wr[i][k + l] = f[i][l];
+    } else {
+      for (int i = 0; i < Q; ++i)
+        for (int l = 0; l < n; ++l) wr[i][k + l] = f[i][l];
+    }
+  }
+}
+
+// ---- addressing policies --------------------------------------------
+// bases(begin, rd, wr) resolves the 19 read and write bases of the bulk
+// span starting at dense cell `begin`; collide_run does the rest.
+
+/// Dense id for DoubleBuffer, compact id for Sparse.
+struct CellIds {
+  const Lattice* sparse = nullptr;  ///< set in Sparse mode
+  i64 operator()(i64 cell) const {
+    return sparse ? sparse->sparse_index(cell) : cell;
+  }
+};
+
+/// In place on the current buffer (DoubleBuffer or Sparse): a span is
+/// one contiguous base per plane.
+struct InPlace {
   Real* planes[Q];
-  for (int i = 0; i < Q; ++i) planes[i] = lat.plane_ptr(i);
-  for (i64 s = cc.span_z[z0]; s < cc.span_z[z1]; ++s) {
-    const CellSpan sp = cc.spans[static_cast<std::size_t>(s)];
-    collide_span(planes, p, sp.begin, sp.len);
-  }
-  Real f[Q];
-  for (i64 k = cc.fluid_slow_z[z0]; k < cc.fluid_slow_z[z1]; ++k) {
-    const i64 c = cc.fluid_slow[static_cast<std::size_t>(k)];
-    for (int i = 0; i < Q; ++i) f[i] = planes[i][c];
-    collide_bgk_cell(f, p.tau, p.force);
-    for (int i = 0; i < Q; ++i) planes[i][c] = f[i];
-  }
-}
+  CellIds id;
 
-// ---- sparse (compact fluid-index) collision -------------------------
-// Same span/slow split as the dense pass, with every storage access
-// routed through the compact planes: a bulk span's cells occupy
-// consecutive compact ids (the cell list preserves dense order), so
-// collide_span runs unchanged on a compact base offset. Solid cells
-// have no storage and no work.
-
-void sparse_collide_z_range(Lattice& lat, const CellClass& cc,
-                            const BgkParams& p, int z0, int z1) {
-  Real* planes[Q];
-  for (int i = 0; i < Q; ++i) planes[i] = lat.sparse_plane_ptr(i);
-  for (i64 s = cc.span_z[z0]; s < cc.span_z[z1]; ++s) {
-    const CellSpan sp = cc.spans[static_cast<std::size_t>(s)];
-    collide_span(planes, p, lat.sparse_index(sp.begin), sp.len);
+  explicit InPlace(Lattice& lat) {
+    const bool sparse = lat.storage_mode() == StorageMode::Sparse;
+    for (int i = 0; i < Q; ++i)
+      planes[i] = sparse ? lat.sparse_plane_ptr(i) : lat.plane_ptr(i);
+    if (sparse) id.sparse = &lat;
   }
-  Real f[Q];
-  for (i64 k = cc.fluid_slow_z[z0]; k < cc.fluid_slow_z[z1]; ++k) {
-    const i64 m = lat.sparse_index(cc.fluid_slow[static_cast<std::size_t>(k)]);
-    for (int i = 0; i < Q; ++i) f[i] = planes[i][m];
-    collide_bgk_cell(f, p.tau, p.force);
-    for (int i = 0; i < Q; ++i) planes[i][m] = f[i];
+  void bases(i64 begin, const Real* rd[Q], Real* wr[Q]) const {
+    const i64 m = id(begin);
+    for (int i = 0; i < Q; ++i) rd[i] = wr[i] = planes[i] + m;
   }
-}
+};
 
-// ---- AA-pattern advancing collision ---------------------------------
-// In AA mode the collision pass is what moves data between the phase
-// machine's slot mappings: it reads each cell's 19 logical values
-// through the current (post-stream) mapping and writes the results into
-// the slots the post-collide mapping assigns, so the following parity
-// flip streams them for free. Two consequences differ from the
-// double-buffered pass:
-//
-//   * EVERY cell must be advanced, not just fluid ones — inlet, outflow
-//     and solid cells copy their values through unchanged (solid border
-//     cells hold the init equilibrium until first streamed, and the
-//     exchange pack sends border values of any flag, so dropping them
-//     would diverge from the double-buffered trajectory).
-//   * The bulk span loop must NOT use GC_RESTRICT: at odd parity the
-//     read pointer for direction i and the write pointer for OPP[i] are
-//     the same pointer by construction.
-//
-// In-place safety: each cell's read-slot set equals its write-slot set
-// (the slot group is owned by the cell under every phase), so cells can
-// be advanced in any order and in parallel.
+/// Fused pull (DoubleBuffer or Sparse): 19 shifted source bases in the
+/// current buffer, the back buffer written.
+struct Pull {
+  const Real* src[Q];
+  Real* dst[Q];
+  i64 shift[Q];
+  CellIds id;
 
-void aa_collide_cells(Lattice& lat, const CellClass& cc, const BgkParams& p,
-                      int z0, int z1) {
+  explicit Pull(Lattice& lat) {
+    const bool sparse = lat.storage_mode() == StorageMode::Sparse;
+    const Int3 d = lat.dim();
+    for (int i = 0; i < Q; ++i) {
+      src[i] = sparse ? lat.sparse_plane_ptr(i) : lat.plane_ptr(i);
+      dst[i] = sparse ? lat.sparse_back_plane_ptr(i) : lat.back_plane_ptr(i);
+      shift[i] = -(C[i].x + i64(d.x) * (C[i].y + i64(d.y) * C[i].z));
+    }
+    if (sparse) id.sparse = &lat;
+  }
+  void bases(i64 begin, const Real* rd[Q], Real* wr[Q]) const {
+    const i64 m = id(begin);
+    for (int i = 0; i < Q; ++i) {
+      rd[i] = src[i] + id(begin + shift[i]);
+      wr[i] = dst[i] + m;
+    }
+  }
+};
+
+/// AA slot maps: read through the current mapping, write the slots the
+/// post-collide mapping assigns. At odd parity rd[i] and wr[OPP[i]] are
+/// the same pointer, which collide_run's load-then-store order allows.
+struct AaSlots {
   const Real* rd[Q];
   Real* wr[Q];
-  for (int i = 0; i < Q; ++i) {
-    rd[i] = lat.aa_bulk_read_ptr(i);
-    wr[i] = lat.aa_bulk_write_ptr(i);
+
+  explicit AaSlots(Lattice& lat) {
+    for (int i = 0; i < Q; ++i) {
+      rd[i] = lat.aa_bulk_read_ptr(i);
+      wr[i] = lat.aa_bulk_write_ptr(i);
+    }
   }
-  const auto& flags = lat.flags();
-  Real f[Q];
-  for (i64 s = cc.span_z[z0]; s < cc.span_z[z1]; ++s) {
+  void bases(i64 begin, const Real* r[Q], Real* w[Q]) const {
+    for (int i = 0; i < Q; ++i) {
+      r[i] = rd[i] + begin;
+      w[i] = wr[i] + begin;
+    }
+  }
+};
+
+// ---- the region walker ----------------------------------------------
+
+/// Collides the bulk spans of slices [lo.z, hi.z) clipped to the box: a
+/// span lives in one row, so only its x extent needs clipping once the
+/// row's y is inside.
+template <class Addr, class Force>
+void collide_spans(const CellClass& cc, Int3 d, const Addr& addr, Real omega,
+                   const Force& frc, Int3 lo, Int3 hi) {
+  const Real* rd[Q] = {};
+  Real* wr[Q] = {};
+  for (i64 s = cc.span_z[lo.z]; s < cc.span_z[hi.z]; ++s) {
     const CellSpan sp = cc.spans[static_cast<std::size_t>(s)];
-    for (i32 k = 0; k < sp.len; ++k) {
-      const i64 c = sp.begin + k;
-      for (int i = 0; i < Q; ++i) f[i] = rd[i][c];
-      collide_bgk_cell(f, p.tau, p.force);
-      for (int i = 0; i < Q; ++i) wr[i][c] = f[i];
-    }
+    const int y = static_cast<int>((sp.begin / d.x) % d.y);
+    if (y < lo.y || y >= hi.y) continue;
+    const int x0 = static_cast<int>(sp.begin % d.x);
+    const int xb = std::max(x0, lo.x);
+    const int xe = std::min(x0 + sp.len, hi.x);
+    if (xb >= xe) continue;
+    const i64 begin = sp.begin + (xb - x0);
+    addr.bases(begin, rd, wr);
+    collide_run(rd, wr, begin, static_cast<i32>(xe - xb), omega, frc);
   }
-  for (i64 k = cc.slow_z[z0]; k < cc.slow_z[z1]; ++k) {
-    const i64 c = cc.slow[static_cast<std::size_t>(k)];
-    lat.gather_cell(c, f);
-    if (static_cast<CellType>(flags[c]) == CellType::Fluid) {
-      collide_bgk_cell(f, p.tau, p.force);
+}
+
+/// Calls fn(cell) for the cells of a z-partitioned list inside the box.
+template <class Fn>
+void for_each_listed(const Lattice& lat, const std::vector<i64>& list,
+                     const std::vector<i64>& list_z, Int3 lo, Int3 hi,
+                     Fn&& fn) {
+  // An unclipped box skips the per-cell coords() divisions.
+  const Int3 d = lat.dim();
+  const bool all = lo.x <= 0 && lo.y <= 0 && hi.x >= d.x && hi.y >= d.y;
+  for (i64 k = list_z[lo.z]; k < list_z[hi.z]; ++k) {
+    const i64 c = list[static_cast<std::size_t>(k)];
+    if (!all) {
+      const Int3 p = lat.coords(c);
+      if (p.x < lo.x || p.x >= hi.x || p.y < lo.y || p.y >= hi.y) continue;
     }
-    lat.scatter_cell_collided(c, f);
+    fn(c);
   }
-  for (i64 k = cc.solid_z[z0]; k < cc.solid_z[z1]; ++k) {
-    const i64 c = cc.solid[static_cast<std::size_t>(k)];
-    lat.gather_cell(c, f);
-    lat.scatter_cell_collided(c, f);
+}
+
+/// The collide pass over the box [lo, hi): bulk spans through the batched
+/// core, slow cells through collide_bgk_cell. In place, only fluid cells
+/// change. AA advances every cell instead: non-fluid slow cells and
+/// solids copy through into the post-collide slots (solid border cells
+/// hold the init equilibrium until first streamed, and the exchange pack
+/// sends border values of any flag). Ghost cells outside the box stay
+/// un-advanced, which is safe because nothing reads their logical values
+/// until unpack rewrites them under the post-collide mapping.
+template <class Addr, class Force>
+void collide_box(Lattice& lat, const CellClass& cc, const Addr& addr,
+                 Real tau, const Force& frc, Int3 lo, Int3 hi) {
+  collide_spans(cc, lat.dim(), addr, Real(1) / tau, frc, lo, hi);
+  Real f[Q] = {};
+  if constexpr (std::is_same_v<Addr, AaSlots>) {
+    for_each_listed(lat, cc.slow, cc.slow_z, lo, hi, [&](i64 c) {
+      lat.gather_cell(c, f);
+      if (lat.flag(c) == CellType::Fluid) {
+        collide_bgk_cell(f, tau, frc.at(c));
+      }
+      lat.scatter_cell_collided(c, f);
+    });
+    for_each_listed(lat, cc.solid, cc.solid_z, lo, hi, [&](i64 c) {
+      lat.gather_cell(c, f);
+      lat.scatter_cell_collided(c, f);
+    });
+  } else {
+    for_each_listed(lat, cc.fluid_slow, cc.fluid_slow_z, lo, hi, [&](i64 c) {
+      const i64 m = addr.id(c);
+      for (int i = 0; i < Q; ++i) f[i] = addr.planes[i][m];
+      collide_bgk_cell(f, tau, frc.at(c));
+      for (int i = 0; i < Q; ++i) addr.planes[i][m] = f[i];
+    });
+  }
+}
+
+/// Runs body over slices [z0, z1): z-slab chunks on the pool when given,
+/// one call otherwise.
+template <class Body>
+void over_slabs(ThreadPool* pool, Int3 d, int z0, int z1, const Body& body) {
+  if (!pool) {
+    body(z0, z1);
+    return;
+  }
+  pool->parallel_for_chunks(
+      z0, z1,
+      [&body](i64 a, i64 b) {
+        body(static_cast<int>(a), static_cast<int>(b));
+      },
+      ThreadPool::min_chunk_indices(i64(d.x) * d.y));
+}
+
+/// The collide pass over [lo, hi) in any storage mode, z-slabs on `pool`
+/// when given (collision is per-cell local, so bit-identical to serial).
+template <class Force>
+void collide_pass(Lattice& lat, Real tau, const Force& frc, Int3 lo, Int3 hi,
+                  ThreadPool* pool) {
+  const CellClass& cc = lat.cell_class();  // build before dispatch
+  auto run = [&](const auto& addr) {
+    over_slabs(pool, lat.dim(), lo.z, hi.z, [&](int z0, int z1) {
+      collide_box(lat, cc, addr, tau, frc, Int3{lo.x, lo.y, z0},
+                  Int3{hi.x, hi.y, z1});
+    });
+  };
+  if (lat.storage_mode() == StorageMode::AA) {
+    run(AaSlots(lat));
+    lat.aa_mark_collided();
+  } else {
+    run(InPlace(lat));  // resolves the sparse layout on this thread
   }
 }
 
 }  // namespace
 
 void collide_bgk(Lattice& lat, const BgkParams& p) {
-  if (lat.storage_mode() == StorageMode::AA) {
-    aa_collide_cells(lat, lat.cell_class(), p, 0, lat.dim().z);
-    lat.aa_mark_collided();
-    return;
-  }
-  if (lat.storage_mode() == StorageMode::Sparse) {
-    sparse_collide_z_range(lat, lat.cell_class(), p, 0, lat.dim().z);
-    return;
-  }
-  collide_z_range(lat, lat.cell_class(), p, 0, lat.dim().z);
+  with_force(p.force, [&](const auto& frc) {
+    collide_pass(lat, p.tau, frc, Int3{0, 0, 0}, lat.dim(), nullptr);
+  });
 }
 
 void collide_bgk(Lattice& lat, const BgkParams& p, ThreadPool& pool) {
-  const CellClass& cc = lat.cell_class();  // build before dispatch
-  const Int3 d = lat.dim();
-  if (lat.storage_mode() == StorageMode::AA) {
-    pool.parallel_for_chunks(
-        0, d.z,
-        [&lat, &cc, &p](i64 z0, i64 z1) {
-          aa_collide_cells(lat, cc, p, static_cast<int>(z0),
-                           static_cast<int>(z1));
-        },
-        ThreadPool::min_chunk_indices(i64(d.x) * d.y));
-    lat.aa_mark_collided();
-    return;
-  }
-  if (lat.storage_mode() == StorageMode::Sparse) {
-    lat.sparse_active_cells();  // build on the calling thread
-    pool.parallel_for_chunks(
-        0, d.z,
-        [&lat, &cc, &p](i64 z0, i64 z1) {
-          sparse_collide_z_range(lat, cc, p, static_cast<int>(z0),
-                                 static_cast<int>(z1));
-        },
-        ThreadPool::min_chunk_indices(i64(d.x) * d.y));
-    return;
-  }
-  pool.parallel_for_chunks(
-      0, d.z,
-      [&lat, &cc, &p](i64 z0, i64 z1) {
-        collide_z_range(lat, cc, p, static_cast<int>(z0),
-                        static_cast<int>(z1));
-      },
-      ThreadPool::min_chunk_indices(i64(d.x) * d.y));
+  with_force(p.force, [&](const auto& frc) {
+    collide_pass(lat, p.tau, frc, Int3{0, 0, 0}, lat.dim(), &pool);
+  });
 }
-
-namespace {
-
-/// AA advancing collide clipped to [lo, hi) (the parallel own-region
-/// pass). Unlike the double-buffered region pass, non-fluid cells inside
-/// the box are advanced too (copy-through); ghost cells outside the box
-/// stay un-advanced, which is safe because nothing reads their logical
-/// values until unpack rewrites them under the post-collide mapping.
-void aa_collide_region(Lattice& lat, const BgkParams& p, Int3 lo, Int3 hi) {
-  const CellClass& cc = lat.cell_class();
-  const Int3 d = lat.dim();
-  const Real* rd[Q];
-  Real* wr[Q];
-  for (int i = 0; i < Q; ++i) {
-    rd[i] = lat.aa_bulk_read_ptr(i);
-    wr[i] = lat.aa_bulk_write_ptr(i);
-  }
-  const auto& flags = lat.flags();
-  Real f[Q];
-  auto in_box = [&](Int3 pos) {
-    return pos.x >= lo.x && pos.x < hi.x && pos.y >= lo.y && pos.y < hi.y;
-  };
-  for (int z = lo.z; z < hi.z; ++z) {
-    for (i64 s = cc.span_z[z]; s < cc.span_z[z + 1]; ++s) {
-      const CellSpan sp = cc.spans[static_cast<std::size_t>(s)];
-      const int y = static_cast<int>((sp.begin / d.x) % d.y);
-      if (y < lo.y || y >= hi.y) continue;
-      const int x0 = static_cast<int>(sp.begin % d.x);
-      const int xb = std::max(x0, lo.x);
-      const int xe = std::min(x0 + sp.len, hi.x);
-      if (xb >= xe) continue;
-      for (i64 c = sp.begin + (xb - x0); c < sp.begin + (xe - x0); ++c) {
-        for (int i = 0; i < Q; ++i) f[i] = rd[i][c];
-        collide_bgk_cell(f, p.tau, p.force);
-        for (int i = 0; i < Q; ++i) wr[i][c] = f[i];
-      }
-    }
-    for (i64 k = cc.slow_z[z]; k < cc.slow_z[z + 1]; ++k) {
-      const i64 c = cc.slow[static_cast<std::size_t>(k)];
-      if (!in_box(lat.coords(c))) continue;
-      lat.gather_cell(c, f);
-      if (static_cast<CellType>(flags[c]) == CellType::Fluid) {
-        collide_bgk_cell(f, p.tau, p.force);
-      }
-      lat.scatter_cell_collided(c, f);
-    }
-    for (i64 k = cc.solid_z[z]; k < cc.solid_z[z + 1]; ++k) {
-      const i64 c = cc.solid[static_cast<std::size_t>(k)];
-      if (!in_box(lat.coords(c))) continue;
-      lat.gather_cell(c, f);
-      lat.scatter_cell_collided(c, f);
-    }
-  }
-  lat.aa_mark_collided();
-}
-
-}  // namespace
 
 void collide_bgk_region(Lattice& lat, const BgkParams& p, Int3 lo, Int3 hi) {
-  if (lat.storage_mode() == StorageMode::AA) {
-    aa_collide_region(lat, p, lo, hi);
-    return;
-  }
-  if (lat.storage_mode() == StorageMode::Sparse) {
-    const CellClass& cc = lat.cell_class();
-    const Int3 d = lat.dim();
-    Real* planes[Q];
-    for (int i = 0; i < Q; ++i) planes[i] = lat.sparse_plane_ptr(i);
-    for (int z = lo.z; z < hi.z; ++z) {
-      for (i64 s = cc.span_z[z]; s < cc.span_z[z + 1]; ++s) {
-        const CellSpan sp = cc.spans[static_cast<std::size_t>(s)];
-        const int y = static_cast<int>((sp.begin / d.x) % d.y);
-        if (y < lo.y || y >= hi.y) continue;
-        const int x0 = static_cast<int>(sp.begin % d.x);
-        const int xb = std::max(x0, lo.x);
-        const int xe = std::min(x0 + sp.len, hi.x);
-        if (xb >= xe) continue;
-        collide_span(planes, p, lat.sparse_index(sp.begin + (xb - x0)),
-                     static_cast<i32>(xe - xb));
-      }
-      Real f[Q];
-      for (i64 k = cc.fluid_slow_z[z]; k < cc.fluid_slow_z[z + 1]; ++k) {
-        const i64 c = cc.fluid_slow[static_cast<std::size_t>(k)];
-        const Int3 pos = lat.coords(c);
-        if (pos.x < lo.x || pos.x >= hi.x || pos.y < lo.y || pos.y >= hi.y) {
-          continue;
-        }
-        const i64 m = lat.sparse_index(c);
-        for (int i = 0; i < Q; ++i) f[i] = planes[i][m];
-        collide_bgk_cell(f, p.tau, p.force);
-        for (int i = 0; i < Q; ++i) planes[i][m] = f[i];
-      }
-    }
-    return;
-  }
-  const CellClass& cc = lat.cell_class();
-  const Int3 d = lat.dim();
-  Real* planes[Q];
-  for (int i = 0; i < Q; ++i) planes[i] = lat.plane_ptr(i);
-  for (int z = lo.z; z < hi.z; ++z) {
-    // Bulk spans clipped to the box: a span lives in one row, so only its
-    // x extent needs clipping once the row's y is inside.
-    for (i64 s = cc.span_z[z]; s < cc.span_z[z + 1]; ++s) {
-      const CellSpan sp = cc.spans[static_cast<std::size_t>(s)];
-      const int y = static_cast<int>((sp.begin / d.x) % d.y);
-      if (y < lo.y || y >= hi.y) continue;
-      const int x0 = static_cast<int>(sp.begin % d.x);
-      const int xb = std::max(x0, lo.x);
-      const int xe = std::min(x0 + sp.len, hi.x);
-      if (xb >= xe) continue;
-      collide_span(planes, p, sp.begin + (xb - x0),
-                   static_cast<i32>(xe - xb));
-    }
-    Real f[Q];
-    for (i64 k = cc.fluid_slow_z[z]; k < cc.fluid_slow_z[z + 1]; ++k) {
-      const i64 c = cc.fluid_slow[static_cast<std::size_t>(k)];
-      const Int3 pos = lat.coords(c);
-      if (pos.x < lo.x || pos.x >= hi.x || pos.y < lo.y || pos.y >= hi.y) {
-        continue;
-      }
-      for (int i = 0; i < Q; ++i) f[i] = planes[i][c];
-      collide_bgk_cell(f, p.tau, p.force);
-      for (int i = 0; i < Q; ++i) planes[i][c] = f[i];
-    }
-  }
+  with_force(p.force, [&](const auto& frc) {
+    collide_pass(lat, p.tau, frc, lo, hi, nullptr);
+  });
 }
-
-namespace {
-
-/// Sparse per-cell-force collide: forces stay indexed by dense cell, the
-/// distributions live at the compact id.
-void sparse_collide_forced_z_range(Lattice& lat, const CellClass& cc, Real tau,
-                                   const Vec3* force, int z0, int z1) {
-  Real* planes[Q];
-  for (int i = 0; i < Q; ++i) planes[i] = lat.sparse_plane_ptr(i);
-  Real f[Q];
-  for (i64 s = cc.span_z[z0]; s < cc.span_z[z1]; ++s) {
-    const CellSpan sp = cc.spans[static_cast<std::size_t>(s)];
-    const i64 m0 = lat.sparse_index(sp.begin);
-    for (i32 k = 0; k < sp.len; ++k) {
-      for (int i = 0; i < Q; ++i) f[i] = planes[i][m0 + k];
-      collide_bgk_cell(f, tau, force[sp.begin + k]);
-      for (int i = 0; i < Q; ++i) planes[i][m0 + k] = f[i];
-    }
-  }
-  for (i64 k = cc.fluid_slow_z[z0]; k < cc.fluid_slow_z[z1]; ++k) {
-    const i64 c = cc.fluid_slow[static_cast<std::size_t>(k)];
-    const i64 m = lat.sparse_index(c);
-    for (int i = 0; i < Q; ++i) f[i] = planes[i][m];
-    collide_bgk_cell(f, tau, force[c]);
-    for (int i = 0; i < Q; ++i) planes[i][m] = f[i];
-  }
-}
-
-void collide_forced_z_range(Lattice& lat, const CellClass& cc, Real tau,
-                            const Vec3* force, int z0, int z1) {
-  Real* planes[Q];
-  for (int i = 0; i < Q; ++i) planes[i] = lat.plane_ptr(i);
-  Real f[Q];
-  for (i64 s = cc.span_z[z0]; s < cc.span_z[z1]; ++s) {
-    const CellSpan sp = cc.spans[static_cast<std::size_t>(s)];
-    for (i32 k = 0; k < sp.len; ++k) {
-      const i64 c = sp.begin + k;
-      for (int i = 0; i < Q; ++i) f[i] = planes[i][c];
-      collide_bgk_cell(f, tau, force[c]);
-      for (int i = 0; i < Q; ++i) planes[i][c] = f[i];
-    }
-  }
-  for (i64 k = cc.fluid_slow_z[z0]; k < cc.fluid_slow_z[z1]; ++k) {
-    const i64 c = cc.fluid_slow[static_cast<std::size_t>(k)];
-    for (int i = 0; i < Q; ++i) f[i] = planes[i][c];
-    collide_bgk_cell(f, tau, force[c]);
-    for (int i = 0; i < Q; ++i) planes[i][c] = f[i];
-  }
-}
-
-/// AA advancing collide with a per-cell force field (see aa_collide_cells
-/// for the all-cells / no-restrict contract).
-void aa_collide_forced_cells(Lattice& lat, const CellClass& cc, Real tau,
-                             const Vec3* force, int z0, int z1) {
-  const Real* rd[Q];
-  Real* wr[Q];
-  for (int i = 0; i < Q; ++i) {
-    rd[i] = lat.aa_bulk_read_ptr(i);
-    wr[i] = lat.aa_bulk_write_ptr(i);
-  }
-  const auto& flags = lat.flags();
-  Real f[Q];
-  for (i64 s = cc.span_z[z0]; s < cc.span_z[z1]; ++s) {
-    const CellSpan sp = cc.spans[static_cast<std::size_t>(s)];
-    for (i32 k = 0; k < sp.len; ++k) {
-      const i64 c = sp.begin + k;
-      for (int i = 0; i < Q; ++i) f[i] = rd[i][c];
-      collide_bgk_cell(f, tau, force[c]);
-      for (int i = 0; i < Q; ++i) wr[i][c] = f[i];
-    }
-  }
-  for (i64 k = cc.slow_z[z0]; k < cc.slow_z[z1]; ++k) {
-    const i64 c = cc.slow[static_cast<std::size_t>(k)];
-    lat.gather_cell(c, f);
-    if (static_cast<CellType>(flags[c]) == CellType::Fluid) {
-      collide_bgk_cell(f, tau, force[c]);
-    }
-    lat.scatter_cell_collided(c, f);
-  }
-  for (i64 k = cc.solid_z[z0]; k < cc.solid_z[z1]; ++k) {
-    const i64 c = cc.solid[static_cast<std::size_t>(k)];
-    lat.gather_cell(c, f);
-    lat.scatter_cell_collided(c, f);
-  }
-}
-
-}  // namespace
 
 void collide_bgk_forced(Lattice& lat, Real tau, const Vec3* force,
                         const StepContext& ctx) {
   obs::ScopedSpan span(ctx.trace, "collide", ctx.rank, "lbm");
-  const CellClass& cc = lat.cell_class();  // build before dispatch
-  const Int3 d = lat.dim();
-  const bool aa = lat.storage_mode() == StorageMode::AA;
-  const bool sparse = lat.storage_mode() == StorageMode::Sparse;
-  if (sparse) lat.sparse_active_cells();  // build on the calling thread
-  if (ctx.pool) {
-    ctx.pool->parallel_for_chunks(
-        0, d.z,
-        [&lat, &cc, tau, force, aa, sparse](i64 z0, i64 z1) {
-          if (aa) {
-            aa_collide_forced_cells(lat, cc, tau, force, static_cast<int>(z0),
-                                    static_cast<int>(z1));
-          } else if (sparse) {
-            sparse_collide_forced_z_range(lat, cc, tau, force,
-                                          static_cast<int>(z0),
-                                          static_cast<int>(z1));
-          } else {
-            collide_forced_z_range(lat, cc, tau, force, static_cast<int>(z0),
-                                   static_cast<int>(z1));
-          }
-        },
-        ThreadPool::min_chunk_indices(i64(d.x) * d.y));
-  } else if (aa) {
-    aa_collide_forced_cells(lat, cc, tau, force, 0, d.z);
-  } else if (sparse) {
-    sparse_collide_forced_z_range(lat, cc, tau, force, 0, d.z);
-  } else {
-    collide_forced_z_range(lat, cc, tau, force, 0, d.z);
-  }
-  if (aa) lat.aa_mark_collided();
+  collide_pass(lat, tau, FieldForce{force}, Int3{0, 0, 0}, lat.dim(),
+               ctx.pool);
 }
 
 namespace {
 
-/// Fused pull+collide over slices [z0, z1): bulk spans read the 19
-/// distributions straight off restrict-qualified shifted plane pointers
-/// (the pull is just a pointer offset for classified bulk cells), collide,
-/// and write the back buffer — with no flag work at all. The slow minority
-/// takes pull_value and per-flag handling, solids are zeroed.
-void fused_z_range(Lattice& lat, const CellClass& cc, const BgkParams& p,
-                   int z0, int z1) {
-  const Int3 d = lat.dim();
-  Real* dst[Q];
-  const Real* src[Q];
-  for (int i = 0; i < Q; ++i) {
-    dst[i] = lat.back_plane_ptr(i);
-    src[i] = lat.plane_ptr(i);
-  }
-  const i64 sx = 1, sy = d.x, sz = i64(d.x) * d.y;
-  i64 shift[Q];
-  for (int i = 0; i < Q; ++i) {
-    shift[i] = -(C[i].x * sx + C[i].y * sy + C[i].z * sz);
-  }
-  const auto& flags = lat.flags();
-
-  for (i64 k = cc.solid_z[z0]; k < cc.solid_z[z1]; ++k) {
-    const i64 cell = cc.solid[static_cast<std::size_t>(k)];
-    for (int i = 0; i < Q; ++i) dst[i][cell] = Real(0);
-  }
-
-  Real f[Q];
-  for (i64 s = cc.span_z[z0]; s < cc.span_z[z1]; ++s) {
-    const CellSpan sp = cc.spans[static_cast<std::size_t>(s)];
-    const Real* GC_RESTRICT in[Q];
-    Real* GC_RESTRICT out[Q];
-    for (int i = 0; i < Q; ++i) {
-      in[i] = src[i] + sp.begin + shift[i];
-      out[i] = dst[i] + sp.begin;
-    }
-    for (i32 k = 0; k < sp.len; ++k) {
-      for (int i = 0; i < Q; ++i) f[i] = in[i][k];
-      collide_bgk_cell(f, p.tau, p.force);
-      for (int i = 0; i < Q; ++i) out[i][k] = f[i];
-    }
-  }
-
-  for (i64 k = cc.slow_z[z0]; k < cc.slow_z[z1]; ++k) {
-    const i64 cell = cc.slow[static_cast<std::size_t>(k)];
-    const Int3 pos = lat.coords(cell);
-    const CellType t = static_cast<CellType>(flags[cell]);
-    for (int i = 0; i < Q; ++i) f[i] = detail::pull_value(lat, pos, i);
-    if (t == CellType::Fluid) {
-      collide_bgk_cell(f, p.tau, p.force);
-    } else if (t == CellType::Inlet) {
-      equilibrium_all(lat.inlet_density(), lat.inlet_velocity_at(pos), f);
-    }
-    for (int i = 0; i < Q; ++i) dst[i][cell] = f[i];
+/// One slow cell's fused value: pull, then per-flag handling (collide a
+/// fluid cell, impose the inlet equilibrium, pass an outflow through).
+void fused_slow_cell(const Lattice& lat, const BgkParams& p, i64 cell,
+                     Real f[Q]) {
+  const Int3 pos = lat.coords(cell);
+  for (int i = 0; i < Q; ++i) f[i] = detail::pull_value(lat, pos, i);
+  const CellType t = lat.flag(cell);
+  if (t == CellType::Fluid) {
+    collide_bgk_cell(f, p.tau, p.force);
+  } else if (t == CellType::Inlet) {
+    equilibrium_all(lat.inlet_density(), lat.inlet_velocity_at(pos), f);
   }
 }
 
-/// Sparse fused pull+collide: the dense pass over compact planes. Span
-/// base offsets go through the index map once per span; the inner loops
-/// stay branch-free. Solid cells have no storage and no work.
-void sparse_fused_z_range(Lattice& lat, const CellClass& cc,
-                          const BgkParams& p, int z0, int z1) {
+/// Fused pull+collide over slices [z0, z1) (DoubleBuffer or Sparse):
+/// bulk spans through the batched core with shifted source bases, the
+/// slow minority through fused_slow_cell; solids are zeroed (and have no
+/// storage in Sparse mode).
+template <class Force>
+void fused_z_range(const Lattice& lat, const CellClass& cc, const Pull& pull,
+                   const BgkParams& p, const Force& frc, int z0, int z1) {
   const Int3 d = lat.dim();
-  Real* dst[Q];
-  const Real* src[Q];
-  for (int i = 0; i < Q; ++i) {
-    dst[i] = lat.sparse_back_plane_ptr(i);
-    src[i] = lat.sparse_plane_ptr(i);
+  for (i64 k = cc.solid_z[z0]; k < cc.solid_z[z1]; ++k) {
+    const i64 m = pull.id(cc.solid[static_cast<std::size_t>(k)]);
+    if (m < 0) continue;
+    for (int i = 0; i < Q; ++i) pull.dst[i][m] = Real(0);
   }
-  const i64 sx = 1, sy = d.x, sz = i64(d.x) * d.y;
-  i64 shift[Q];
-  for (int i = 0; i < Q; ++i) {
-    shift[i] = -(C[i].x * sx + C[i].y * sy + C[i].z * sz);
-  }
-  const auto& flags = lat.flags();
-
-  Real f[Q];
-  for (i64 s = cc.span_z[z0]; s < cc.span_z[z1]; ++s) {
-    const CellSpan sp = cc.spans[static_cast<std::size_t>(s)];
-    const i64 out0 = lat.sparse_index(sp.begin);
-    const Real* GC_RESTRICT in[Q];
-    Real* GC_RESTRICT out[Q];
-    for (int i = 0; i < Q; ++i) {
-      in[i] = src[i] + lat.sparse_index(sp.begin + shift[i]);
-      out[i] = dst[i] + out0;
-    }
-    for (i32 k = 0; k < sp.len; ++k) {
-      for (int i = 0; i < Q; ++i) f[i] = in[i][k];
-      collide_bgk_cell(f, p.tau, p.force);
-      for (int i = 0; i < Q; ++i) out[i][k] = f[i];
-    }
-  }
-
+  collide_spans(cc, d, pull, Real(1) / p.tau, frc, Int3{0, 0, z0},
+                Int3{d.x, d.y, z1});
+  Real f[Q] = {};
   for (i64 k = cc.slow_z[z0]; k < cc.slow_z[z1]; ++k) {
     const i64 cell = cc.slow[static_cast<std::size_t>(k)];
-    const i64 m = lat.sparse_index(cell);  // slow cells are never solid
-    const Int3 pos = lat.coords(cell);
-    const CellType t = static_cast<CellType>(flags[cell]);
-    for (int i = 0; i < Q; ++i) f[i] = detail::pull_value(lat, pos, i);
-    if (t == CellType::Fluid) {
-      collide_bgk_cell(f, p.tau, p.force);
-    } else if (t == CellType::Inlet) {
-      equilibrium_all(lat.inlet_density(), lat.inlet_velocity_at(pos), f);
-    }
-    for (int i = 0; i < Q; ++i) dst[i][m] = f[i];
+    fused_slow_cell(lat, p, cell, f);
+    const i64 m = pull.id(cell);  // slow cells are never solid
+    for (int i = 0; i < Q; ++i) pull.dst[i][m] = f[i];
   }
 }
 
@@ -565,38 +442,15 @@ void check_fused_supported(const Lattice& lat) {
                "fused_stream_collide does not support curved links");
 }
 
-/// AA fused bulk pass: in-place advancing collide of the classified
-/// bulk spans at the current (post-flip) parity. The pulled values are
-/// already in place — the flip put them there — so this reads and
-/// rewrites each cell's own slot group only. No GC_RESTRICT (see
-/// aa_collide_cells).
-void aa_fused_bulk(Lattice& lat, const CellClass& cc, const BgkParams& p,
-                   int z0, int z1) {
-  const Real* rd[Q];
-  Real* wr[Q];
-  for (int i = 0; i < Q; ++i) {
-    rd[i] = lat.aa_bulk_read_ptr(i);
-    wr[i] = lat.aa_bulk_write_ptr(i);
-  }
-  Real f[Q];
-  for (i64 s = cc.span_z[z0]; s < cc.span_z[z1]; ++s) {
-    const CellSpan sp = cc.spans[static_cast<std::size_t>(s)];
-    for (i32 k = 0; k < sp.len; ++k) {
-      const i64 c = sp.begin + k;
-      for (int i = 0; i < Q; ++i) f[i] = rd[i][c];
-      collide_bgk_cell(f, p.tau, p.force);
-      for (int i = 0; i < Q; ++i) wr[i][c] = f[i];
-    }
-  }
-}
-
 /// AA fused step. The slow cells' fused values (pull + per-flag
 /// handling, exactly the double-buffered slow path) are computed BEFORE
 /// the parity flip into scratch; the flip then streams the bulk for
 /// free; the bulk is collided in place and the slow/solid results are
 /// scattered through the post-collide mapping. The lattice ends the
 /// step collided — the next fused call flips first.
-void aa_fused(Lattice& lat, const BgkParams& p, const StepContext& ctx) {
+template <class Force>
+void aa_fused(Lattice& lat, const BgkParams& p, const Force& frc,
+              const StepContext& ctx) {
   if (!lat.aa_collided()) lat.aa_adopt_collided_layout();
   const CellClass& cc = lat.cell_class();  // build before dispatch
   const Int3 d = lat.dim();
@@ -605,19 +459,9 @@ void aa_fused(Lattice& lat, const BgkParams& p, const StepContext& ctx) {
   fix.resize(static_cast<std::size_t>(nslow * Q));
 
   auto slow_values = [&lat, &cc, &p, &fix](i64 k0, i64 k1) {
-    const auto& flags = lat.flags();
-    Real f[Q];
     for (i64 k = k0; k < k1; ++k) {
-      const i64 cell = cc.slow[static_cast<std::size_t>(k)];
-      const Int3 pos = lat.coords(cell);
-      for (int i = 0; i < Q; ++i) f[i] = detail::pull_value(lat, pos, i);
-      const CellType t = static_cast<CellType>(flags[cell]);
-      if (t == CellType::Fluid) {
-        collide_bgk_cell(f, p.tau, p.force);
-      } else if (t == CellType::Inlet) {
-        equilibrium_all(lat.inlet_density(), lat.inlet_velocity_at(pos), f);
-      }
-      std::copy(f, f + Q, fix.begin() + k * Q);
+      fused_slow_cell(lat, p, cc.slow[static_cast<std::size_t>(k)],
+                      fix.data() + k * Q);
     }
   };
   if (ctx.pool) {
@@ -629,17 +473,14 @@ void aa_fused(Lattice& lat, const BgkParams& p, const StepContext& ctx) {
 
   lat.swap_buffers();  // flip parity: the zero-copy bulk stream
 
-  if (ctx.pool) {
-    ctx.pool->parallel_for_chunks(
-        0, d.z,
-        [&lat, &cc, &p](i64 z0, i64 z1) {
-          aa_fused_bulk(lat, cc, p, static_cast<int>(z0),
-                        static_cast<int>(z1));
-        },
-        ThreadPool::min_chunk_indices(i64(d.x) * d.y));
-  } else {
-    aa_fused_bulk(lat, cc, p, 0, d.z);
-  }
+  // The pulled values are already in place (the flip put them there), so
+  // the bulk is the AA advancing collide of the classified spans.
+  const AaSlots slots(lat);
+  const Real omega = Real(1) / p.tau;
+  over_slabs(ctx.pool, d, 0, d.z, [&](int z0, int z1) {
+    collide_spans(cc, d, slots, omega, frc, Int3{0, 0, z0},
+                  Int3{d.x, d.y, z1});
+  });
 
   for (i64 k = 0; k < nslow; ++k) {
     lat.scatter_cell_collided(cc.slow[static_cast<std::size_t>(k)],
@@ -656,33 +497,18 @@ void fused_stream_collide(Lattice& lat, const BgkParams& p,
                           const StepContext& ctx) {
   check_fused_supported(lat);
   obs::ScopedSpan span(ctx.trace, "fused", ctx.rank, "lbm");
-  if (lat.storage_mode() == StorageMode::AA) {
-    aa_fused(lat, p, ctx);
-    return;
-  }
-  const CellClass& cc = lat.cell_class();  // build before dispatch
-  const Int3 d = lat.dim();
-  const bool sparse = lat.storage_mode() == StorageMode::Sparse;
-  if (sparse) lat.sparse_active_cells();  // build on the calling thread
-  if (ctx.pool) {
-    ctx.pool->parallel_for_chunks(
-        0, d.z,
-        [&lat, &cc, &p, sparse](i64 z0, i64 z1) {
-          if (sparse) {
-            sparse_fused_z_range(lat, cc, p, static_cast<int>(z0),
-                                 static_cast<int>(z1));
-          } else {
-            fused_z_range(lat, cc, p, static_cast<int>(z0),
-                          static_cast<int>(z1));
-          }
-        },
-        ThreadPool::min_chunk_indices(i64(d.x) * d.y));
-  } else if (sparse) {
-    sparse_fused_z_range(lat, cc, p, 0, d.z);
-  } else {
-    fused_z_range(lat, cc, p, 0, d.z);
-  }
-  lat.swap_buffers();
+  with_force(p.force, [&](const auto& frc) {
+    if (lat.storage_mode() == StorageMode::AA) {
+      aa_fused(lat, p, frc, ctx);
+      return;
+    }
+    const CellClass& cc = lat.cell_class();  // build before dispatch
+    const Pull pull(lat);  // resolves the sparse layout on this thread
+    over_slabs(ctx.pool, lat.dim(), 0, lat.dim().z, [&](int z0, int z1) {
+      fused_z_range(lat, cc, pull, p, frc, z0, z1);
+    });
+    lat.swap_buffers();
+  });
 }
 
 }  // namespace gc::lbm
