@@ -10,12 +10,10 @@ namespace gc::io {
 
 namespace {
 constexpr char kMagic[4] = {'G', 'C', 'L', 'B'};
-// v2: storage-agnostic body, no storage-mode field (pre-dates the AA
-// backend reaching the header). v3: u8 StorageMode after the velocity
-// count. v4: same layout, the storage byte may also say Sparse (v3
-// readers must reject such files, hence the bump). All load; v2 is
-// detected as DoubleBuffer.
-constexpr u32 kMinVersion = 2;
+// v4: u8 StorageMode (DoubleBuffer, AA or Sparse) after the velocity
+// count. Older files (v2 had no storage byte, v3 no Sparse) are rejected;
+// a FlowCache entry in such a format reads as a miss and is recomputed.
+constexpr u32 kMinVersion = 4;
 constexpr u32 kVersion = 4;
 constexpr char kManifestMagic[4] = {'G', 'C', 'M', 'F'};
 constexpr u32 kManifestVersion = 1;
@@ -130,7 +128,7 @@ void save_checkpoint(const std::string& path, const lbm::Lattice& lat) {
   body.pod(d.y);
   body.pod(d.z);
   body.pod(static_cast<u32>(lbm::Q));
-  // v3: the storage backend the saved simulation was running. The planes
+  // The storage backend the saved simulation was running. The planes
   // below stay in the canonical natural order regardless.
   body.pod(static_cast<u8>(lat.storage_mode()));
 
@@ -173,9 +171,8 @@ void save_checkpoint(const std::string& path, const lbm::Lattice& lat) {
 
 namespace {
 
-/// Reads the dims / velocity-count / storage-mode header prefix shared by
-/// v2 and v3 bodies (v2 has no storage byte: DoubleBuffer).
-lbm::StorageMode read_header_prefix(BodyReader& body, u32 version, Int3* d) {
+/// Reads the dims / velocity-count / storage-mode header prefix.
+lbm::StorageMode read_header_prefix(BodyReader& body, Int3* d) {
   body.pod(d->x);
   body.pod(d->y);
   body.pod(d->z);
@@ -183,25 +180,21 @@ lbm::StorageMode read_header_prefix(BodyReader& body, u32 version, Int3* d) {
   body.pod(q);
   GC_CHECK_MSG(q == static_cast<u32>(lbm::Q),
                "checkpoint has " << q << " velocities, expected " << lbm::Q);
-  if (version < 3) return lbm::StorageMode::DoubleBuffer;
   u8 mode;
   body.pod(mode);
-  const u8 max_mode = version >= 4 ? static_cast<u8>(lbm::StorageMode::Sparse)
-                                   : static_cast<u8>(lbm::StorageMode::AA);
-  GC_CHECK_MSG(mode <= max_mode, "invalid storage mode in checkpoint");
+  GC_CHECK_MSG(mode <= static_cast<u8>(lbm::StorageMode::Sparse),
+               "invalid storage mode in checkpoint");
   return static_cast<lbm::StorageMode>(mode);
 }
 
 lbm::Lattice load_checkpoint_impl(const std::string& path,
                                   const lbm::StorageMode* forced_mode) {
-  u32 version = 0;
   const std::string raw =
-      read_envelope(path, kMagic, kMinVersion, kVersion, "checkpoint",
-                    &version);
+      read_envelope(path, kMagic, kMinVersion, kVersion, "checkpoint");
   BodyReader body(raw);
 
   Int3 d;
-  const lbm::StorageMode recorded = read_header_prefix(body, version, &d);
+  const lbm::StorageMode recorded = read_header_prefix(body, &d);
   const lbm::StorageMode mode = forced_mode ? *forced_mode : recorded;
 
   // A fresh DoubleBuffer/AA lattice is in the natural layout (AA phase
@@ -269,7 +262,7 @@ CheckpointInfo read_checkpoint_info(const std::string& path) {
       read_envelope(path, kMagic, kMinVersion, kVersion, "checkpoint",
                     &info.version);
   BodyReader body(raw);
-  info.storage = read_header_prefix(body, info.version, &info.dim);
+  info.storage = read_header_prefix(body, &info.dim);
   return info;
 }
 

@@ -11,14 +11,12 @@
 // throws gc::Error on any mismatch — a flipped byte or a half-written
 // file can never be mistaken for valid state.
 //
-// v3 additionally records the StorageMode the saved simulation was
-// running (the distribution planes themselves are always serialized in
-// the canonical natural order, so the payload is storage-agnostic —
-// sparse lattices are expanded to natural planes on save and recompacted
-// on load). v4 allows that byte to say Sparse, which a v3 reader must
-// reject. v2 files — which predate the header field — still load,
-// detected as DoubleBuffer, the only mode that existed when they were
-// written.
+// The header records the StorageMode the saved simulation was running
+// (the distribution planes themselves are always serialized in the
+// canonical natural order, so the payload is storage-agnostic — sparse
+// lattices are expanded to natural planes on save and recompacted on
+// load). Only v4 loads: v2 (no storage byte) and v3 (no Sparse) files
+// throw gc::Error like any other unreadable file.
 #pragma once
 
 #include <string>

@@ -20,11 +20,8 @@ void CellClass::build(const Lattice& lat) {
   solid_z.assign(static_cast<std::size_t>(d.z) + 1, 0);
   bulk_cells = 0;
 
-  const i64 sx = 1, sy = d.x, sz = i64(d.x) * d.y;
   i64 shift[Q];
-  for (int i = 0; i < Q; ++i) {
-    shift[i] = -(C[i].x * sx + C[i].y * sy + C[i].z * sz);
-  }
+  for (int i = 0; i < Q; ++i) shift[i] = pull_shift(d, i);
 
   const auto& flags = lat.flags();
   const u8 fluid = static_cast<u8>(CellType::Fluid);

@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <type_traits>
 
+#include "lbm/mrt.hpp"
 #include "lbm/stream.hpp"
 #include "obs/trace.hpp"
 
@@ -50,14 +51,15 @@ bool is_forced(Vec3 force) {
 }
 
 // ---- the batched collide core ---------------------------------------
-// Every BGK pass (in-place, region-clipped, per-cell forced, fused pull,
-// AA advancing) runs its bulk spans through collide_run: B cells at a
-// time, a moments pass over all lanes, then an equilibrium-and-relax
-// pass. Each lane performs collide_bgk_cell's operation sequence exactly
-// (same summation order, same Guo half-force shift), so the result is
-// bit-identical to the scalar reference; the lane loops have a constant
-// trip count and no aliasing, which is what lets -O2 vectorize them.
-// See DESIGN.md "Collide core".
+// Every collide pass (in-place, region-clipped, per-cell forced, fused
+// pull, AA advancing; BGK or MRT) runs its bulk spans through collide_run
+// B cells at a time. The BGK lanes take a moments pass over all lanes,
+// then an equilibrium-and-relax pass. Each lane performs
+// collide_bgk_cell's operation sequence exactly (same summation order,
+// same Guo half-force shift), so the result is bit-identical to the
+// scalar reference; the lane loops have a constant trip count and no
+// aliasing, which is what lets -O2 vectorize them. See DESIGN.md
+// "Collide core".
 
 constexpr int B = 16;  ///< lanes per batch
 
@@ -77,16 +79,6 @@ struct FieldForce {
   const Vec3* force;
   Vec3 at(i64 cell) const { return force[cell]; }
 };
-
-/// Calls fn with the force policy for a uniform body force.
-template <class Fn>
-void with_force(Vec3 force, Fn&& fn) {
-  if (is_forced(force)) {
-    fn(UniformForce{force});
-  } else {
-    fn(NoForce{});
-  }
-}
 
 /// Collides the B lanes of f in place. Lanes [n, B) are padding; `cell0`
 /// is the dense id of lane 0 (lanes are consecutive dense cells).
@@ -147,12 +139,55 @@ void collide_lanes(Real (&f)[Q][B], Real omega, const Force& frc, i64 cell0,
   }
 }
 
+// ---- collision operators --------------------------------------------
+// lanes(f, cell0, n) collides lanes [0, n) of a batch (lane l is dense
+// cell cell0 + l); cell(f, c) collides one slow cell's gathered values.
+
+/// BGK: the batched core in the lanes, collide_bgk_cell for slow cells.
+template <class Force>
+struct BgkOp {
+  Real tau;
+  Real omega;  ///< 1/tau, computed once per pass
+  Force frc;
+
+  BgkOp(Real t, const Force& f) : tau(t), omega(Real(1) / t), frc(f) {}
+  void lanes(Real (&f)[Q][B], i64 cell0, int n) const {
+    collide_lanes(f, omega, frc, cell0, n);
+  }
+  void cell(Real f[Q], i64 c) const { collide_bgk_cell(f, tau, frc.at(c)); }
+};
+
+/// Calls fn with the BGK operator for p (unforced or uniformly forced).
+template <class Fn>
+void with_bgk(const BgkParams& p, Fn&& fn) {
+  if (is_forced(p.force)) {
+    fn(BgkOp<UniformForce>(p.tau, UniformForce{p.force}));
+  } else {
+    fn(BgkOp<NoForce>(p.tau, NoForce{}));
+  }
+}
+
+/// MRT: collide_mrt_cell on each lane's column (not batched).
+struct MrtOp {
+  const MrtParams& p;
+
+  void lanes(Real (&f)[Q][B], i64, int n) const {
+    Real g[Q] = {};
+    for (int l = 0; l < n; ++l) {
+      for (int i = 0; i < Q; ++i) g[i] = f[i][l];
+      collide_mrt_cell(g, p);
+      for (int i = 0; i < Q; ++i) f[i][l] = g[i];
+    }
+  }
+  void cell(Real f[Q], i64) const { collide_mrt_cell(f, p); }
+};
+
 /// Collides `len` consecutive cells whose value i is read at rd[i][k] and
 /// written to wr[i][k]. Each batch is loaded whole before any store, so
 /// rd and wr may alias (in-place, AA slot maps).
-template <class Force>
+template <class Op>
 void collide_run(const Real* const rd[Q], Real* const wr[Q], i64 cell0,
-                 i32 len, Real omega, const Force& frc) {
+                 i32 len, const Op& op) {
   // A full batch copies with a constant trip count (straight 64 B moves);
   // a span's tail copies only its n cells.
   alignas(64) Real f[Q][B] = {};
@@ -166,7 +201,7 @@ void collide_run(const Real* const rd[Q], Real* const wr[Q], i64 cell0,
       for (int i = 0; i < Q; ++i)
         for (int l = 0; l < B; ++l) f[i][l] = l < n ? rd[i][k + l] : W[i];
     }
-    collide_lanes(f, omega, frc, cell0 + k, n);
+    op.lanes(f, cell0 + k, n);
     if (n == B) {
       for (int i = 0; i < Q; ++i)
         for (int l = 0; l < B; ++l) wr[i][k + l] = f[i][l];
@@ -179,21 +214,14 @@ void collide_run(const Real* const rd[Q], Real* const wr[Q], i64 cell0,
 
 // ---- addressing policies --------------------------------------------
 // bases(begin, rd, wr) resolves the 19 read and write bases of the bulk
-// span starting at dense cell `begin`; collide_run does the rest.
-
-/// Dense id for DoubleBuffer, compact id for Sparse.
-struct CellIds {
-  const Lattice* sparse = nullptr;  ///< set in Sparse mode
-  i64 operator()(i64 cell) const {
-    return sparse ? sparse->sparse_index(cell) : cell;
-  }
-};
+// span starting at dense cell `begin`; collide_run does the rest. The
+// fused pass uses detail::Pull (stream.hpp), shared with streaming.
 
 /// In place on the current buffer (DoubleBuffer or Sparse): a span is
 /// one contiguous base per plane.
 struct InPlace {
   Real* planes[Q];
-  CellIds id;
+  detail::CellIds id;
 
   explicit InPlace(Lattice& lat) {
     const bool sparse = lat.storage_mode() == StorageMode::Sparse;
@@ -204,33 +232,6 @@ struct InPlace {
   void bases(i64 begin, const Real* rd[Q], Real* wr[Q]) const {
     const i64 m = id(begin);
     for (int i = 0; i < Q; ++i) rd[i] = wr[i] = planes[i] + m;
-  }
-};
-
-/// Fused pull (DoubleBuffer or Sparse): 19 shifted source bases in the
-/// current buffer, the back buffer written.
-struct Pull {
-  const Real* src[Q];
-  Real* dst[Q];
-  i64 shift[Q];
-  CellIds id;
-
-  explicit Pull(Lattice& lat) {
-    const bool sparse = lat.storage_mode() == StorageMode::Sparse;
-    const Int3 d = lat.dim();
-    for (int i = 0; i < Q; ++i) {
-      src[i] = sparse ? lat.sparse_plane_ptr(i) : lat.plane_ptr(i);
-      dst[i] = sparse ? lat.sparse_back_plane_ptr(i) : lat.back_plane_ptr(i);
-      shift[i] = -(C[i].x + i64(d.x) * (C[i].y + i64(d.y) * C[i].z));
-    }
-    if (sparse) id.sparse = &lat;
-  }
-  void bases(i64 begin, const Real* rd[Q], Real* wr[Q]) const {
-    const i64 m = id(begin);
-    for (int i = 0; i < Q; ++i) {
-      rd[i] = src[i] + id(begin + shift[i]);
-      wr[i] = dst[i] + m;
-    }
   }
 };
 
@@ -260,9 +261,9 @@ struct AaSlots {
 /// Collides the bulk spans of slices [lo.z, hi.z) clipped to the box: a
 /// span lives in one row, so only its x extent needs clipping once the
 /// row's y is inside.
-template <class Addr, class Force>
-void collide_spans(const CellClass& cc, Int3 d, const Addr& addr, Real omega,
-                   const Force& frc, Int3 lo, Int3 hi) {
+template <class Addr, class Op>
+void collide_spans(const CellClass& cc, Int3 d, const Addr& addr, const Op& op,
+                   Int3 lo, Int3 hi) {
   const Real* rd[Q] = {};
   Real* wr[Q] = {};
   for (i64 s = cc.span_z[lo.z]; s < cc.span_z[hi.z]; ++s) {
@@ -275,7 +276,7 @@ void collide_spans(const CellClass& cc, Int3 d, const Addr& addr, Real omega,
     if (xb >= xe) continue;
     const i64 begin = sp.begin + (xb - x0);
     addr.bases(begin, rd, wr);
-    collide_run(rd, wr, begin, static_cast<i32>(xe - xb), omega, frc);
+    collide_run(rd, wr, begin, static_cast<i32>(xe - xb), op);
   }
 }
 
@@ -297,25 +298,23 @@ void for_each_listed(const Lattice& lat, const std::vector<i64>& list,
   }
 }
 
-/// The collide pass over the box [lo, hi): bulk spans through the batched
-/// core, slow cells through collide_bgk_cell. In place, only fluid cells
+/// The collide pass over the box [lo, hi): bulk spans through op.lanes,
+/// slow fluid cells through op.cell. In place, only fluid cells
 /// change. AA advances every cell instead: non-fluid slow cells and
 /// solids copy through into the post-collide slots (solid border cells
 /// hold the init equilibrium until first streamed, and the exchange pack
 /// sends border values of any flag). Ghost cells outside the box stay
 /// un-advanced, which is safe because nothing reads their logical values
 /// until unpack rewrites them under the post-collide mapping.
-template <class Addr, class Force>
+template <class Addr, class Op>
 void collide_box(Lattice& lat, const CellClass& cc, const Addr& addr,
-                 Real tau, const Force& frc, Int3 lo, Int3 hi) {
-  collide_spans(cc, lat.dim(), addr, Real(1) / tau, frc, lo, hi);
+                 const Op& op, Int3 lo, Int3 hi) {
+  collide_spans(cc, lat.dim(), addr, op, lo, hi);
   Real f[Q] = {};
   if constexpr (std::is_same_v<Addr, AaSlots>) {
     for_each_listed(lat, cc.slow, cc.slow_z, lo, hi, [&](i64 c) {
       lat.gather_cell(c, f);
-      if (lat.flag(c) == CellType::Fluid) {
-        collide_bgk_cell(f, tau, frc.at(c));
-      }
+      if (lat.flag(c) == CellType::Fluid) op.cell(f, c);
       lat.scatter_cell_collided(c, f);
     });
     for_each_listed(lat, cc.solid, cc.solid_z, lo, hi, [&](i64 c) {
@@ -326,37 +325,21 @@ void collide_box(Lattice& lat, const CellClass& cc, const Addr& addr,
     for_each_listed(lat, cc.fluid_slow, cc.fluid_slow_z, lo, hi, [&](i64 c) {
       const i64 m = addr.id(c);
       for (int i = 0; i < Q; ++i) f[i] = addr.planes[i][m];
-      collide_bgk_cell(f, tau, frc.at(c));
+      op.cell(f, c);
       for (int i = 0; i < Q; ++i) addr.planes[i][m] = f[i];
     });
   }
 }
 
-/// Runs body over slices [z0, z1): z-slab chunks on the pool when given,
-/// one call otherwise.
-template <class Body>
-void over_slabs(ThreadPool* pool, Int3 d, int z0, int z1, const Body& body) {
-  if (!pool) {
-    body(z0, z1);
-    return;
-  }
-  pool->parallel_for_chunks(
-      z0, z1,
-      [&body](i64 a, i64 b) {
-        body(static_cast<int>(a), static_cast<int>(b));
-      },
-      ThreadPool::min_chunk_indices(i64(d.x) * d.y));
-}
-
 /// The collide pass over [lo, hi) in any storage mode, z-slabs on `pool`
 /// when given (collision is per-cell local, so bit-identical to serial).
-template <class Force>
-void collide_pass(Lattice& lat, Real tau, const Force& frc, Int3 lo, Int3 hi,
+template <class Op>
+void collide_pass(Lattice& lat, const Op& op, Int3 lo, Int3 hi,
                   ThreadPool* pool) {
   const CellClass& cc = lat.cell_class();  // build before dispatch
   auto run = [&](const auto& addr) {
-    over_slabs(pool, lat.dim(), lo.z, hi.z, [&](int z0, int z1) {
-      collide_box(lat, cc, addr, tau, frc, Int3{lo.x, lo.y, z0},
+    detail::over_slabs(pool, lat.dim(), lo.z, hi.z, [&](int z0, int z1) {
+      collide_box(lat, cc, addr, op, Int3{lo.x, lo.y, z0},
                   Int3{hi.x, hi.y, z1});
     });
   };
@@ -371,41 +354,53 @@ void collide_pass(Lattice& lat, Real tau, const Force& frc, Int3 lo, Int3 hi,
 }  // namespace
 
 void collide_bgk(Lattice& lat, const BgkParams& p) {
-  with_force(p.force, [&](const auto& frc) {
-    collide_pass(lat, p.tau, frc, Int3{0, 0, 0}, lat.dim(), nullptr);
+  with_bgk(p, [&](const auto& op) {
+    collide_pass(lat, op, Int3{0, 0, 0}, lat.dim(), nullptr);
   });
 }
 
 void collide_bgk(Lattice& lat, const BgkParams& p, ThreadPool& pool) {
-  with_force(p.force, [&](const auto& frc) {
-    collide_pass(lat, p.tau, frc, Int3{0, 0, 0}, lat.dim(), &pool);
+  with_bgk(p, [&](const auto& op) {
+    collide_pass(lat, op, Int3{0, 0, 0}, lat.dim(), &pool);
   });
 }
 
 void collide_bgk_region(Lattice& lat, const BgkParams& p, Int3 lo, Int3 hi) {
-  with_force(p.force, [&](const auto& frc) {
-    collide_pass(lat, p.tau, frc, lo, hi, nullptr);
+  with_bgk(p, [&](const auto& op) {
+    collide_pass(lat, op, lo, hi, nullptr);
   });
 }
 
 void collide_bgk_forced(Lattice& lat, Real tau, const Vec3* force,
                         const StepContext& ctx) {
   obs::ScopedSpan span(ctx.trace, "collide", ctx.rank, "lbm");
-  collide_pass(lat, tau, FieldForce{force}, Int3{0, 0, 0}, lat.dim(),
-               ctx.pool);
+  collide_pass(lat, BgkOp<FieldForce>(tau, FieldForce{force}), Int3{0, 0, 0},
+               lat.dim(), ctx.pool);
+}
+
+void collide_mrt(Lattice& lat, const MrtParams& p) {
+  collide_pass(lat, MrtOp{p}, Int3{0, 0, 0}, lat.dim(), nullptr);
+}
+
+void collide_mrt(Lattice& lat, const MrtParams& p, ThreadPool& pool) {
+  collide_pass(lat, MrtOp{p}, Int3{0, 0, 0}, lat.dim(), &pool);
+}
+
+void collide_mrt_region(Lattice& lat, const MrtParams& p, Int3 lo, Int3 hi) {
+  collide_pass(lat, MrtOp{p}, lo, hi, nullptr);
 }
 
 namespace {
 
 /// One slow cell's fused value: pull, then per-flag handling (collide a
 /// fluid cell, impose the inlet equilibrium, pass an outflow through).
-void fused_slow_cell(const Lattice& lat, const BgkParams& p, i64 cell,
-                     Real f[Q]) {
+template <class Op>
+void fused_slow_cell(const Lattice& lat, const Op& op, i64 cell, Real f[Q]) {
   const Int3 pos = lat.coords(cell);
   for (int i = 0; i < Q; ++i) f[i] = detail::pull_value(lat, pos, i);
   const CellType t = lat.flag(cell);
   if (t == CellType::Fluid) {
-    collide_bgk_cell(f, p.tau, p.force);
+    op.cell(f, cell);
   } else if (t == CellType::Inlet) {
     equilibrium_all(lat.inlet_density(), lat.inlet_velocity_at(pos), f);
   }
@@ -413,23 +408,18 @@ void fused_slow_cell(const Lattice& lat, const BgkParams& p, i64 cell,
 
 /// Fused pull+collide over slices [z0, z1) (DoubleBuffer or Sparse):
 /// bulk spans through the batched core with shifted source bases, the
-/// slow minority through fused_slow_cell; solids are zeroed (and have no
-/// storage in Sparse mode).
-template <class Force>
-void fused_z_range(const Lattice& lat, const CellClass& cc, const Pull& pull,
-                   const BgkParams& p, const Force& frc, int z0, int z1) {
+/// slow minority through fused_slow_cell; solids are zeroed.
+template <class Op>
+void fused_z_range(const Lattice& lat, const CellClass& cc,
+                   const detail::Pull& pull, const Op& op, int z0, int z1) {
   const Int3 d = lat.dim();
-  for (i64 k = cc.solid_z[z0]; k < cc.solid_z[z1]; ++k) {
-    const i64 m = pull.id(cc.solid[static_cast<std::size_t>(k)]);
-    if (m < 0) continue;
-    for (int i = 0; i < Q; ++i) pull.dst[i][m] = Real(0);
-  }
-  collide_spans(cc, d, pull, Real(1) / p.tau, frc, Int3{0, 0, z0},
-                Int3{d.x, d.y, z1});
+  pull.zero_solids(cc.solid.data() + cc.solid_z[z0],
+                   cc.solid_z[z1] - cc.solid_z[z0]);
+  collide_spans(cc, d, pull, op, Int3{0, 0, z0}, Int3{d.x, d.y, z1});
   Real f[Q] = {};
   for (i64 k = cc.slow_z[z0]; k < cc.slow_z[z1]; ++k) {
     const i64 cell = cc.slow[static_cast<std::size_t>(k)];
-    fused_slow_cell(lat, p, cell, f);
+    fused_slow_cell(lat, op, cell, f);
     const i64 m = pull.id(cell);  // slow cells are never solid
     for (int i = 0; i < Q; ++i) pull.dst[i][m] = f[i];
   }
@@ -448,9 +438,8 @@ void check_fused_supported(const Lattice& lat) {
 /// free; the bulk is collided in place and the slow/solid results are
 /// scattered through the post-collide mapping. The lattice ends the
 /// step collided — the next fused call flips first.
-template <class Force>
-void aa_fused(Lattice& lat, const BgkParams& p, const Force& frc,
-              const StepContext& ctx) {
+template <class Op>
+void aa_fused(Lattice& lat, const Op& op, const StepContext& ctx) {
   if (!lat.aa_collided()) lat.aa_adopt_collided_layout();
   const CellClass& cc = lat.cell_class();  // build before dispatch
   const Int3 d = lat.dim();
@@ -458,9 +447,9 @@ void aa_fused(Lattice& lat, const BgkParams& p, const Force& frc,
   auto& fix = lat.aa_fix_scratch();
   fix.resize(static_cast<std::size_t>(nslow * Q));
 
-  auto slow_values = [&lat, &cc, &p, &fix](i64 k0, i64 k1) {
+  auto slow_values = [&lat, &cc, &op, &fix](i64 k0, i64 k1) {
     for (i64 k = k0; k < k1; ++k) {
-      fused_slow_cell(lat, p, cc.slow[static_cast<std::size_t>(k)],
+      fused_slow_cell(lat, op, cc.slow[static_cast<std::size_t>(k)],
                       fix.data() + k * Q);
     }
   };
@@ -476,10 +465,8 @@ void aa_fused(Lattice& lat, const BgkParams& p, const Force& frc,
   // The pulled values are already in place (the flip put them there), so
   // the bulk is the AA advancing collide of the classified spans.
   const AaSlots slots(lat);
-  const Real omega = Real(1) / p.tau;
-  over_slabs(ctx.pool, d, 0, d.z, [&](int z0, int z1) {
-    collide_spans(cc, d, slots, omega, frc, Int3{0, 0, z0},
-                  Int3{d.x, d.y, z1});
+  detail::over_slabs(ctx.pool, d, 0, d.z, [&](int z0, int z1) {
+    collide_spans(cc, d, slots, op, Int3{0, 0, z0}, Int3{d.x, d.y, z1});
   });
 
   for (i64 k = 0; k < nslow; ++k) {
@@ -497,16 +484,17 @@ void fused_stream_collide(Lattice& lat, const BgkParams& p,
                           const StepContext& ctx) {
   check_fused_supported(lat);
   obs::ScopedSpan span(ctx.trace, "fused", ctx.rank, "lbm");
-  with_force(p.force, [&](const auto& frc) {
+  with_bgk(p, [&](const auto& op) {
     if (lat.storage_mode() == StorageMode::AA) {
-      aa_fused(lat, p, frc, ctx);
+      aa_fused(lat, op, ctx);
       return;
     }
     const CellClass& cc = lat.cell_class();  // build before dispatch
-    const Pull pull(lat);  // resolves the sparse layout on this thread
-    over_slabs(ctx.pool, lat.dim(), 0, lat.dim().z, [&](int z0, int z1) {
-      fused_z_range(lat, cc, pull, p, frc, z0, z1);
-    });
+    const detail::Pull pull(lat);  // resolves the sparse layout here
+    detail::over_slabs(ctx.pool, lat.dim(), 0, lat.dim().z,
+                       [&](int z0, int z1) {
+                         fused_z_range(lat, cc, pull, op, z0, z1);
+                       });
     lat.swap_buffers();
   });
 }

@@ -15,7 +15,8 @@ struct BgkParams {
   Vec3 force{};          ///< uniform body force density (Guo scheme)
 };
 
-/// Collides every non-solid cell in place (current buffer).
+/// Collides every Fluid cell in place (current buffer); Solid, Inlet and
+/// Outflow cells keep their values.
 void collide_bgk(Lattice& lat, const BgkParams& p);
 
 /// Multithreaded variant (z-slabs on the pool; collision is per-cell

@@ -50,6 +50,13 @@ inline constexpr std::array<int, Q> OPP = {{
     0, 2, 1, 4, 3, 6, 5, 8, 7, 10, 9, 12, 11, 14, 13, 16, 15, 18, 17,
 }};
 
+/// Linear-index offset from a cell to its direction-i pull source x - c_i
+/// in a lattice of extent d (x fastest). Valid for a cell whose source is
+/// in bounds; the stream, fused and classification passes all use it.
+inline i64 pull_shift(Int3 d, int i) {
+  return -(C[i].x + i64(d.x) * (C[i].y + i64(d.y) * C[i].z));
+}
+
 /// Lattice speed of sound squared.
 inline constexpr Real CS2 = Real(1.0 / 3.0);
 

@@ -153,140 +153,4 @@ void collide_mrt_cell(Real f[Q], const MrtParams& p) {
   }
 }
 
-namespace {
-void collide_mrt_span(Lattice& lat, const MrtParams& p, i64 begin, i64 end) {
-  Real* planes[Q];
-  for (int i = 0; i < Q; ++i) planes[i] = lat.plane_ptr(i);
-  Real f[Q];
-  for (i64 c = begin; c < end; ++c) {
-    if (lat.flag(c) != CellType::Fluid) continue;
-    for (int i = 0; i < Q; ++i) f[i] = planes[i][c];
-    collide_mrt_cell(f, p);
-    for (int i = 0; i < Q; ++i) planes[i][c] = f[i];
-  }
-}
-
-/// Sparse MRT over a compact-id range: iterate the compact ids directly
-/// (perfect load balance over active cells), looking the dense cell up
-/// only for its flag.
-void sparse_collide_mrt_span(Lattice& lat, const MrtParams& p, i64 m0,
-                             i64 m1) {
-  Real* planes[Q];
-  for (int i = 0; i < Q; ++i) planes[i] = lat.sparse_plane_ptr(i);
-  const std::vector<i64>& cells = lat.sparse_cell_list();
-  Real f[Q];
-  for (i64 m = m0; m < m1; ++m) {
-    if (lat.flag(cells[static_cast<std::size_t>(m)]) != CellType::Fluid) {
-      continue;
-    }
-    for (int i = 0; i < Q; ++i) f[i] = planes[i][m];
-    collide_mrt_cell(f, p);
-    for (int i = 0; i < Q; ++i) planes[i][m] = f[i];
-  }
-}
-
-/// AA advancing MRT: every cell is moved to its post-collide slots, with
-/// non-fluid cells copied through unchanged (the AA collide must advance
-/// all cells so the parity flip streams a complete field — see
-/// collision.cpp). Cell-local and slot-group-disjoint, so z-chunks are
-/// race-free.
-void aa_collide_mrt_span(Lattice& lat, const MrtParams& p, i64 begin,
-                         i64 end) {
-  Real f[Q];
-  for (i64 c = begin; c < end; ++c) {
-    lat.gather_cell(c, f);
-    if (lat.flag(c) == CellType::Fluid) collide_mrt_cell(f, p);
-    lat.scatter_cell_collided(c, f);
-  }
-}
-}  // namespace
-
-void collide_mrt(Lattice& lat, const MrtParams& p) {
-  if (lat.storage_mode() == StorageMode::AA) {
-    aa_collide_mrt_span(lat, p, 0, lat.num_cells());
-    lat.aa_mark_collided();
-    return;
-  }
-  if (lat.storage_mode() == StorageMode::Sparse) {
-    sparse_collide_mrt_span(lat, p, 0, lat.sparse_active_cells());
-    return;
-  }
-  collide_mrt_span(lat, p, 0, lat.num_cells());
-}
-
-void collide_mrt_region(Lattice& lat, const MrtParams& p, Int3 lo, Int3 hi) {
-  if (lat.storage_mode() == StorageMode::AA) {
-    Real f[Q];
-    for (int z = lo.z; z < hi.z; ++z) {
-      for (int y = lo.y; y < hi.y; ++y) {
-        i64 c = lat.idx(lo.x, y, z);
-        for (int x = lo.x; x < hi.x; ++x, ++c) {
-          lat.gather_cell(c, f);
-          if (lat.flag(c) == CellType::Fluid) collide_mrt_cell(f, p);
-          lat.scatter_cell_collided(c, f);
-        }
-      }
-    }
-    lat.aa_mark_collided();
-    return;
-  }
-  if (lat.storage_mode() == StorageMode::Sparse) {
-    Real* planes[Q];
-    for (int i = 0; i < Q; ++i) planes[i] = lat.sparse_plane_ptr(i);
-    Real f[Q];
-    for (int z = lo.z; z < hi.z; ++z) {
-      for (int y = lo.y; y < hi.y; ++y) {
-        i64 c = lat.idx(lo.x, y, z);
-        for (int x = lo.x; x < hi.x; ++x, ++c) {
-          if (lat.flag(c) != CellType::Fluid) continue;
-          const i64 m = lat.sparse_index(c);
-          for (int i = 0; i < Q; ++i) f[i] = planes[i][m];
-          collide_mrt_cell(f, p);
-          for (int i = 0; i < Q; ++i) planes[i][m] = f[i];
-        }
-      }
-    }
-    return;
-  }
-  Real* planes[Q];
-  for (int i = 0; i < Q; ++i) planes[i] = lat.plane_ptr(i);
-  Real f[Q];
-  for (int z = lo.z; z < hi.z; ++z) {
-    for (int y = lo.y; y < hi.y; ++y) {
-      i64 c = lat.idx(lo.x, y, z);
-      for (int x = lo.x; x < hi.x; ++x, ++c) {
-        if (lat.flag(c) != CellType::Fluid) continue;
-        for (int i = 0; i < Q; ++i) f[i] = planes[i][c];
-        collide_mrt_cell(f, p);
-        for (int i = 0; i < Q; ++i) planes[i][c] = f[i];
-      }
-    }
-  }
-}
-
-void collide_mrt(Lattice& lat, const MrtParams& p, ThreadPool& pool) {
-  const i64 plane = i64(lat.dim().x) * lat.dim().y;
-  if (lat.storage_mode() == StorageMode::Sparse) {
-    // Chunk directly over compact ids: active cells spread evenly across
-    // workers regardless of where the solids sit.
-    pool.parallel_for_chunks(0, lat.sparse_active_cells(),
-                             [&lat, &p](i64 m0, i64 m1) {
-                               sparse_collide_mrt_span(lat, p, m0, m1);
-                             });
-    return;
-  }
-  if (lat.storage_mode() == StorageMode::AA) {
-    pool.parallel_for_chunks(0, lat.dim().z,
-                             [&lat, &p, plane](i64 z0, i64 z1) {
-                               aa_collide_mrt_span(lat, p, z0 * plane,
-                                                   z1 * plane);
-                             });
-    lat.aa_mark_collided();
-    return;
-  }
-  pool.parallel_for_chunks(0, lat.dim().z, [&lat, &p, plane](i64 z0, i64 z1) {
-    collide_mrt_span(lat, p, z0 * plane, z1 * plane);
-  });
-}
-
 }  // namespace gc::lbm

@@ -48,10 +48,13 @@ struct MrtParams {
   void set_viscosity_rates(Real tau);
 };
 
-/// Collides every fluid cell in place with the MRT operator.
+/// Collides every fluid cell in place with the MRT operator, in any
+/// storage mode. The pass is BGK's walker with collide_mrt_cell as the
+/// operator (defined in collision.cpp).
 void collide_mrt(Lattice& lat, const MrtParams& p);
 
-/// Multithreaded variant (bit-identical; collision is per-cell local).
+/// Multithreaded variant (z-slabs; bit-identical, collision is per-cell
+/// local).
 void collide_mrt(Lattice& lat, const MrtParams& p, ThreadPool& pool);
 
 /// Collides only the box [lo, hi) — the distributed solver's hook.

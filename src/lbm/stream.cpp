@@ -95,116 +95,59 @@ bool is_interior_fluid(const Lattice& lat, Int3 p) {
   return true;
 }
 
+Pull::Pull(Lattice& lat) {
+  const bool sparse = lat.storage_mode() == StorageMode::Sparse;
+  const Int3 d = lat.dim();
+  for (int i = 0; i < Q; ++i) {
+    src[i] = sparse ? lat.sparse_plane_ptr(i) : lat.plane_ptr(i);
+    dst[i] = sparse ? lat.sparse_back_plane_ptr(i) : lat.back_plane_ptr(i);
+    shift[i] = pull_shift(d, i);
+  }
+  if (sparse) id.sparse = &lat;
+}
+
+void Pull::zero_solids(const i64* cells, i64 n) const {
+  if (id.sparse) return;
+  for (i64 k = 0; k < n; ++k) {
+    for (int i = 0; i < Q; ++i) dst[i][cells[k]] = Real(0);
+  }
+}
+
 }  // namespace detail
 
 namespace {
 
 /// Streams an explicit cell selection from the current into the back
-/// buffer: solid cells are zeroed, bulk-fast spans are branch-free
-/// shifted copies, and only the slow minority walks the general
-/// pull_value path. No per-cell flag scanning. The unit both the
-/// z-sliced full-lattice pass and the inner/outer partitioned passes
+/// buffer (DoubleBuffer or Sparse): solid cells are zeroed, bulk-fast
+/// spans are branch-free shifted copies, and only the slow minority walks
+/// the general pull_value path. No per-cell flag scanning. The unit both
+/// the z-sliced full-lattice pass and the inner/outer partitioned passes
 /// are built on.
-void stream_cells(Lattice& lat, const CellSpan* spans, i64 nspans,
-                  const i64* slow, i64 nslow, const i64* solid, i64 nsolid) {
-  const Int3 d = lat.dim();
-  const i64 sx = 1, sy = d.x, sz = i64(d.x) * d.y;
+void stream_cells(const Lattice& lat, const detail::Pull& pull,
+                  const CellSpan* spans, i64 nspans, const i64* slow,
+                  i64 nslow, const i64* solid, i64 nsolid) {
+  pull.zero_solids(solid, nsolid);
 
-  // Per-direction linear offset of the pull source for interior cells.
-  i64 shift[Q];
-  for (int i = 0; i < Q; ++i) {
-    shift[i] = -(C[i].x * sx + C[i].y * sy + C[i].z * sz);
-  }
-
-  const Real* src[Q];
-  Real* dst[Q];
-  for (int i = 0; i < Q; ++i) {
-    src[i] = lat.plane_ptr(i);
-    dst[i] = lat.back_plane_ptr(i);
-  }
-
-  for (i64 k = 0; k < nsolid; ++k) {
-    const i64 cell = solid[k];
-    for (int i = 0; i < Q; ++i) dst[i][cell] = Real(0);
-  }
-
+  const Real* rd[Q] = {};
+  Real* wr[Q] = {};
   for (i64 s = 0; s < nspans; ++s) {
     const CellSpan sp = spans[s];
+    pull.bases(sp.begin, rd, wr);
     for (int i = 0; i < Q; ++i) {
-      Real* GC_RESTRICT out = dst[i] + sp.begin;
-      const Real* GC_RESTRICT in = src[i] + sp.begin + shift[i];
+      Real* GC_RESTRICT out = wr[i];
+      const Real* GC_RESTRICT in = rd[i];
       for (i32 k = 0; k < sp.len; ++k) out[k] = in[k];
     }
   }
 
   for (i64 k = 0; k < nslow; ++k) {
     const i64 cell = slow[k];
+    const i64 m = pull.id(cell);  // slow cells are never solid
     const Int3 p = lat.coords(cell);
     for (int i = 0; i < Q; ++i) {
-      dst[i][cell] = detail::pull_value(lat, p, i);
+      pull.dst[i][m] = detail::pull_value(lat, p, i);
     }
   }
-}
-
-/// Streams slices [z0, z1), driven by the precomputed classification's
-/// per-z offsets.
-void stream_z_range(Lattice& lat, const CellClass& cc, int z0, int z1) {
-  stream_cells(lat, cc.spans.data() + cc.span_z[z0],
-               cc.span_z[z1] - cc.span_z[z0],
-               cc.slow.data() + cc.slow_z[z0], cc.slow_z[z1] - cc.slow_z[z0],
-               cc.solid.data() + cc.solid_z[z0],
-               cc.solid_z[z1] - cc.solid_z[z0]);
-}
-
-// ---- sparse (compact fluid-index) streaming --------------------------
-// Identical pull pattern over the compact planes. Because the compact
-// cell list preserves ascending dense order, a bulk span's cells — and
-// each direction's pull sources, which form another contiguous all-
-// active dense run — map to contiguous compact ids, so the span loop
-// stays a plain shifted copy: only the two base offsets go through the
-// index map. Solid cells have no storage, so there is nothing to zero.
-
-void sparse_stream_cells(Lattice& lat, const CellSpan* spans, i64 nspans,
-                         const i64* slow, i64 nslow) {
-  const Int3 d = lat.dim();
-  const i64 sx = 1, sy = d.x, sz = i64(d.x) * d.y;
-  i64 shift[Q];
-  for (int i = 0; i < Q; ++i) {
-    shift[i] = -(C[i].x * sx + C[i].y * sy + C[i].z * sz);
-  }
-
-  const Real* src[Q];
-  Real* dst[Q];
-  for (int i = 0; i < Q; ++i) {
-    src[i] = lat.sparse_plane_ptr(i);
-    dst[i] = lat.sparse_back_plane_ptr(i);
-  }
-
-  for (i64 s = 0; s < nspans; ++s) {
-    const CellSpan sp = spans[s];
-    const i64 out0 = lat.sparse_index(sp.begin);
-    for (int i = 0; i < Q; ++i) {
-      Real* GC_RESTRICT out = dst[i] + out0;
-      const Real* GC_RESTRICT in = src[i] + lat.sparse_index(sp.begin + shift[i]);
-      for (i32 k = 0; k < sp.len; ++k) out[k] = in[k];
-    }
-  }
-
-  for (i64 k = 0; k < nslow; ++k) {
-    const i64 cell = slow[k];
-    const i64 m = lat.sparse_index(cell);  // slow cells are never solid
-    const Int3 p = lat.coords(cell);
-    for (int i = 0; i < Q; ++i) {
-      dst[i][m] = detail::pull_value(lat, p, i);
-    }
-  }
-}
-
-void sparse_stream_z_range(Lattice& lat, const CellClass& cc, int z0, int z1) {
-  sparse_stream_cells(lat, cc.spans.data() + cc.span_z[z0],
-                      cc.span_z[z1] - cc.span_z[z0],
-                      cc.slow.data() + cc.slow_z[z0],
-                      cc.slow_z[z1] - cc.slow_z[z0]);
 }
 
 /// Re-imposes the inlet equilibrium on inlet-flagged cells (the tail of
@@ -314,57 +257,13 @@ void aa_stream(Lattice& lat, ThreadPool* pool) {
 
 }  // namespace
 
-void stream(Lattice& lat) {
-  if (lat.storage_mode() == StorageMode::AA) {
-    aa_stream(lat, nullptr);
-    return;
-  }
-  const CellClass& cc = lat.cell_class();
-  if (lat.storage_mode() == StorageMode::Sparse) {
-    lat.sparse_active_cells();  // build the compact layout before streaming
-    sparse_stream_z_range(lat, cc, 0, lat.dim().z);
-  } else {
-    stream_z_range(lat, cc, 0, lat.dim().z);
-  }
-  finish_stream(lat);
-}
+void stream(Lattice& lat) { stream(lat, StepContext{}); }
 
 void stream(Lattice& lat, ThreadPool& pool) {
-  if (lat.storage_mode() == StorageMode::AA) {
-    aa_stream(lat, &pool);
-    return;
-  }
-  const CellClass& cc = lat.cell_class();  // build before dispatch
-  const Int3 d = lat.dim();
-  if (lat.storage_mode() == StorageMode::Sparse) {
-    lat.sparse_active_cells();  // build on the calling thread
-    pool.parallel_for_chunks(
-        0, d.z,
-        [&lat, &cc](i64 z0, i64 z1) {
-          sparse_stream_z_range(lat, cc, static_cast<int>(z0),
-                                static_cast<int>(z1));
-        },
-        ThreadPool::min_chunk_indices(i64(d.x) * d.y));
-  } else {
-    pool.parallel_for_chunks(
-        0, d.z,
-        [&lat, &cc](i64 z0, i64 z1) {
-          stream_z_range(lat, cc, static_cast<int>(z0), static_cast<int>(z1));
-        },
-        ThreadPool::min_chunk_indices(i64(d.x) * d.y));
-  }
-  finish_stream(lat);
+  stream(lat, StepContext{&pool});
 }
 
 void stream_inner(Lattice& lat, const InnerOuterClass& split) {
-  if (lat.storage_mode() == StorageMode::Sparse) {
-    lat.sparse_active_cells();  // build before streaming
-    sparse_stream_cells(lat, split.inner_spans.data(),
-                        static_cast<i64>(split.inner_spans.size()),
-                        split.inner_slow.data(),
-                        static_cast<i64>(split.inner_slow.size()));
-    return;
-  }
   if (lat.storage_mode() == StorageMode::AA) {
     // Collect the inner fixups only — no flip, no writes. Inner cells
     // never pull from ghost layers, so this is safe to run while border
@@ -375,7 +274,7 @@ void stream_inner(Lattice& lat, const InnerOuterClass& split) {
     aa_collect_fixups(lat, split.inner_slow.data(), n, pend.data());
     return;
   }
-  stream_cells(lat, split.inner_spans.data(),
+  stream_cells(lat, detail::Pull(lat), split.inner_spans.data(),
                static_cast<i64>(split.inner_spans.size()),
                split.inner_slow.data(),
                static_cast<i64>(split.inner_slow.size()),
@@ -384,14 +283,6 @@ void stream_inner(Lattice& lat, const InnerOuterClass& split) {
 }
 
 void stream_outer(Lattice& lat, const InnerOuterClass& split) {
-  if (lat.storage_mode() == StorageMode::Sparse) {
-    sparse_stream_cells(lat, split.outer_spans.data(),
-                        static_cast<i64>(split.outer_spans.size()),
-                        split.outer_slow.data(),
-                        static_cast<i64>(split.outer_slow.size()));
-    finish_stream(lat);
-    return;
-  }
   if (lat.storage_mode() == StorageMode::AA) {
     GC_CHECK_MSG(lat.curved_links().empty(),
                  "AA storage does not support curved boundary links");
@@ -413,7 +304,7 @@ void stream_outer(Lattice& lat, const InnerOuterClass& split) {
     impose_inlets(lat);
     return;
   }
-  stream_cells(lat, split.outer_spans.data(),
+  stream_cells(lat, detail::Pull(lat), split.outer_spans.data(),
                static_cast<i64>(split.outer_spans.size()),
                split.outer_slow.data(),
                static_cast<i64>(split.outer_slow.size()),
@@ -429,29 +320,18 @@ void stream(Lattice& lat, const StepContext& ctx) {
     return;
   }
   const CellClass& cc = lat.cell_class();  // build before dispatch
-  const Int3 d = lat.dim();
-  const bool sparse = lat.storage_mode() == StorageMode::Sparse;
-  if (sparse) lat.sparse_active_cells();  // build on the calling thread
+  const detail::Pull pull(lat);
   {
     obs::ScopedSpan span(ctx.trace, "stream", ctx.rank, "lbm");
-    if (ctx.pool) {
-      ctx.pool->parallel_for_chunks(
-          0, d.z,
-          [&lat, &cc, sparse](i64 z0, i64 z1) {
-            if (sparse) {
-              sparse_stream_z_range(lat, cc, static_cast<int>(z0),
-                                    static_cast<int>(z1));
-            } else {
-              stream_z_range(lat, cc, static_cast<int>(z0),
-                             static_cast<int>(z1));
-            }
-          },
-          ThreadPool::min_chunk_indices(i64(d.x) * d.y));
-    } else if (sparse) {
-      sparse_stream_z_range(lat, cc, 0, d.z);
-    } else {
-      stream_z_range(lat, cc, 0, d.z);
-    }
+    const Int3 d = lat.dim();
+    detail::over_slabs(ctx.pool, d, 0, d.z, [&](int z0, int z1) {
+      stream_cells(lat, pull, cc.spans.data() + cc.span_z[z0],
+                   cc.span_z[z1] - cc.span_z[z0],
+                   cc.slow.data() + cc.slow_z[z0],
+                   cc.slow_z[z1] - cc.slow_z[z0],
+                   cc.solid.data() + cc.solid_z[z0],
+                   cc.solid_z[z1] - cc.solid_z[z0]);
+    });
   }
   obs::ScopedSpan span(ctx.trace, "finish", ctx.rank, "lbm");
   finish_stream(lat);

@@ -50,5 +50,59 @@ Real pull_value(const Lattice& lat, Int3 p, int i);
 /// path where streaming is a plain shifted copy.
 bool is_interior_fluid(const Lattice& lat, Int3 p);
 
+/// Storage id of a dense cell: the cell itself for DoubleBuffer, its
+/// compact id for Sparse (-1 for a solid, which has no storage there).
+struct CellIds {
+  const Lattice* sparse = nullptr;  ///< set in Sparse mode
+  i64 operator()(i64 cell) const {
+    return sparse ? sparse->sparse_index(cell) : cell;
+  }
+};
+
+/// Pull addressing of a DoubleBuffer or Sparse lattice, shared by the
+/// stream pass and the fused pass: a bulk cell's direction-i value comes
+/// from dense cell + shift[i] in the current buffer and goes to the back
+/// buffer. The compact list keeps ascending dense order, so a bulk span
+/// and each of its 19 source runs map to contiguous ids in both modes:
+/// only a span's base goes through the id mapping.
+struct Pull {
+  const Real* src[Q];
+  Real* dst[Q];
+  i64 shift[Q];
+  CellIds id;
+
+  /// Resolves the layout (building the compact one) on the calling thread.
+  explicit Pull(Lattice& lat);
+
+  /// The 19 read and write bases of the bulk span starting at `begin`.
+  void bases(i64 begin, const Real* rd[Q], Real* wr[Q]) const {
+    const i64 m = id(begin);
+    for (int i = 0; i < Q; ++i) {
+      rd[i] = src[i] + id(begin + shift[i]);
+      wr[i] = dst[i] + m;
+    }
+  }
+
+  /// Zeroes the back-buffer values of `n` solid cells. Sparse solids have
+  /// no storage, so in Sparse mode the list is not walked at all.
+  void zero_solids(const i64* cells, i64 n) const;
+};
+
+/// Runs body(z0, z1) over slices [z0, z1): z-slab chunks on the pool when
+/// given, one call otherwise.
+template <class Body>
+void over_slabs(ThreadPool* pool, Int3 d, int z0, int z1, const Body& body) {
+  if (!pool) {
+    body(z0, z1);
+    return;
+  }
+  pool->parallel_for_chunks(
+      z0, z1,
+      [&body](i64 a, i64 b) {
+        body(static_cast<int>(a), static_cast<int>(b));
+      },
+      ThreadPool::min_chunk_indices(i64(d.x) * d.y));
+}
+
 }  // namespace detail
 }  // namespace gc::lbm

@@ -95,11 +95,8 @@ void Comm::wait_all(std::vector<Request>& rs) {
 }
 
 double Comm::allreduce_sum(double value) {
-  // Payload carries the double split into two Reals? No — encode via a
-  // single-element payload per 32-bit half would lose precision; instead
-  // serialize through memcpy into two floats' bit patterns.
-  static constexpr int kTagGather = 90001;
-  static constexpr int kTagBcast = 90002;
+  // A payload holds Reals, so the double's bytes travel unchanged in two
+  // of them: converting it to one Real would round it.
   auto encode = [](double v) {
     Payload p(2);
     static_assert(sizeof(double) == 2 * sizeof(Real));
@@ -118,15 +115,15 @@ double Comm::allreduce_sum(double value) {
   if (rank() == 0) {
     double total = value;
     for (int r = 1; r < n; ++r) {
-      total += decode(world_->do_recv(r, 0, kTagGather));
+      total += decode(world_->do_recv(r, 0, kAllreduceGather));
     }
     for (int r = 1; r < n; ++r) {
-      world_->do_send(0, r, kTagBcast, encode(total));
+      world_->do_send(0, r, kAllreduceBcast, encode(total));
     }
     return total;
   }
-  world_->do_send(rank_, 0, kTagGather, encode(value));
-  return decode(world_->do_recv(0, rank_, kTagBcast));
+  world_->do_send(rank_, 0, kAllreduceGather, encode(value));
+  return decode(world_->do_recv(0, rank_, kAllreduceBcast));
 }
 
 MpiLite::MpiLite(int ranks)

@@ -25,6 +25,10 @@ enum Tag : int {
   // --- distributed CG (linalg/distributed_cg)
   kCgProxyBase = 7000,  ///< + sender rank (proxy-entry refresh)
 
+  // --- collectives (netsim/mpilite Comm::allreduce_sum)
+  kAllreduceGather = 8000,  ///< non-root ranks -> rank 0 partial values
+  kAllreduceBcast = 8001,   ///< rank 0 -> every rank, the reduced total
+
   // --- reserved for unit tests (tests/ only; width-1 scalar tags)
   kTest0 = 9000,
   kTest1 = 9001,
@@ -55,6 +59,8 @@ inline constexpr TagBlock kTagBlocks[] = {
     {kDirectBase, kMaxWorldSize},
     {kThermalFace, 1},
     {kCgProxyBase, kMaxWorldSize},
+    {kAllreduceGather, 1},
+    {kAllreduceBcast, 1},
     {kTest0, 1},
     {kTest1, 1},
     {kTest2, 1},

@@ -4,10 +4,14 @@ namespace gc::obs {
 
 namespace {
 
-// Sorted by name. Grouped by subsystem: lbm kernels, net exchange, the
-// executed/modeled overlap pipeline, fault tolerance, the scenario
-// service, tracer transport.
+// Sorted by name. Grouped by subsystem: the benchmark driver's own
+// timings, lbm kernels, net exchange, the executed/modeled overlap
+// pipeline, fault tolerance, the scenario service, tracer transport.
 constexpr SpanCanon kSpans[] = {
+    {"bench.checkpoint_load", "bench"},
+    {"bench.checkpoint_save", "bench"},
+    {"bench.step", "bench"},
+    {"bench.tracer", "bench"},
     {"checkpoint", "ft"},
     {"collide", "lbm"},
     {"exchange", "net"},

@@ -193,19 +193,19 @@ TEST(CheckpointV2, ManifestRoundTrips) {
 }
 
 // ---------------------------------------------------------------------------
-// Format v3+: the header records the StorageMode; loads auto-detect it,
-// and v2 files (no mode field) still load as DoubleBuffer. The writer
-// emits v4 (same layout; the storage byte may additionally say Sparse).
+// Format v4: the header records the StorageMode and loads auto-detect
+// it. Files in the older v2 (no mode field) and v3 (no Sparse) formats
+// are rejected.
 
 namespace {
-/// Rewrites a saved v3 checkpoint into the v2 wire format: drops the
-/// storage-mode byte from the body, sets the version word to 2 and
-/// re-derives body_size and CRC32 — byte-for-byte what the pre-v3 writer
-/// produced for a DoubleBuffer lattice.
-std::string downgrade_to_v2(const std::string& v3) {
+/// Rewrites a saved v4 DoubleBuffer checkpoint into the v2 wire format:
+/// drops the storage-mode byte from the body, sets the version word to 2
+/// and re-derives body_size and CRC32 — byte-for-byte what the pre-v3
+/// writer produced for a DoubleBuffer lattice.
+std::string downgrade_to_v2(const std::string& v4) {
   // Envelope: [magic 4][version 4][body_size 8][crc 4][body]; the
   // storage byte sits at body offset 16 (3 x i32 dims + u32 Q).
-  std::string out = v3;
+  std::string out = v4;
   const std::size_t header = 4 + 4 + 8 + 4;
   out.erase(header + 16, 1);
   const u32 version = 2;
@@ -214,6 +214,15 @@ std::string downgrade_to_v2(const std::string& v3) {
   std::memcpy(out.data() + 8, &body_size, sizeof(body_size));
   const u32 crc = crc32(out.data() + header, out.size() - header);
   std::memcpy(out.data() + 16, &crc, sizeof(crc));
+  return out;
+}
+
+/// A v4 DoubleBuffer checkpoint as the v3 writer produced it: the same
+/// body, only the version word differs (the CRC covers the body alone).
+std::string downgrade_to_v3(const std::string& v4) {
+  std::string out = v4;
+  const u32 version = 3;
+  std::memcpy(out.data() + 4, &version, sizeof(version));
   return out;
 }
 }  // namespace
@@ -250,23 +259,18 @@ TEST(CheckpointV3, ExplicitModeOverridesTheHeader) {
   }
 }
 
-TEST(CheckpointV3, LoadsLegacyV2FilesAsDoubleBuffer) {
+TEST(CheckpointV3, RejectsLegacyV2AndV3Files) {
   TempFile f("legacy.gclb");
-  const Lattice original = make_state();
-  save_checkpoint(f.path(), original);
-  spit(f.path(), downgrade_to_v2(slurp(f.path())));
-
-  const CheckpointInfo info = read_checkpoint_info(f.path());
-  EXPECT_EQ(info.version, 2u);
-  EXPECT_EQ(info.storage, lbm::StorageMode::DoubleBuffer);
-
-  const Lattice restored = load_checkpoint(f.path());
-  EXPECT_EQ(restored.storage_mode(), lbm::StorageMode::DoubleBuffer);
-  for (int i = 0; i < lbm::Q; ++i) {
-    for (i64 c = 0; c < original.num_cells(); ++c) {
-      ASSERT_EQ(restored.f(i, c), original.f(i, c));
-    }
+  save_checkpoint(f.path(), make_state());
+  const std::string v4 = slurp(f.path());
+  for (const std::string& legacy : {downgrade_to_v2(v4), downgrade_to_v3(v4)}) {
+    spit(f.path(), legacy);
+    EXPECT_THROW(load_checkpoint(f.path()), Error);
+    EXPECT_THROW(read_checkpoint_info(f.path()), Error);
   }
+  // The untouched v4 bytes still load.
+  spit(f.path(), v4);
+  EXPECT_EQ(read_checkpoint_info(f.path()).version, 4u);
 }
 
 TEST(CheckpointV3, RejectsInvalidStorageModeByte) {

@@ -1,6 +1,7 @@
 // BGK collision: conservation laws, equilibrium fixed point, Guo forcing,
-// the batched collide core against the scalar reference in every storage
-// mode, and equivalence of the fused stream+collide kernel.
+// the batched collide core (BGK and MRT operators) against the scalar
+// references in every storage mode, and equivalence of the fused
+// stream+collide kernel.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -10,6 +11,7 @@
 
 #include "lbm/collision.hpp"
 #include "lbm/macroscopic.hpp"
+#include "lbm/mrt.hpp"
 #include "lbm/stream.hpp"
 #include "util/rng.hpp"
 
@@ -136,39 +138,49 @@ void randomize_positive_any(Lattice& lat, u64 seed) {
 bool same_bits(Real a, Real b) { return std::memcmp(&a, &b, sizeof a) == 0; }
 
 TEST(Collision, RegionVariantMatchesFull) {
-  for (const StorageMode mode : kModes) {
-    SCOPED_TRACE(storage_mode_name(mode));
-    Lattice a(Int3{6, 6, 6}, mode), b(Int3{6, 6, 6}, mode);
-    for (Lattice* lat : {&a, &b}) {
-      lat->fill_solid_box(Int3{2, 2, 2}, Int3{3, 4, 3});
-      lat->set_flag(Int3{4, 1, 3}, CellType::Outflow);
-      randomize_positive_any(*lat, 5);
-    }
-    const BgkParams p{Real(0.8), Vec3{}};
-    collide_bgk(a, p);
-    collide_bgk_region(b, p, Int3{0, 0, 0}, Int3{6, 6, 6});
-    for (int i = 0; i < Q; ++i) {
-      for (i64 c = 0; c < a.num_cells(); ++c) {
-        ASSERT_TRUE(same_bits(a.f(i, c), b.f(i, c)))
-            << "i=" << i << " cell=" << c << ": " << a.f(i, c)
-            << " vs " << b.f(i, c);
+  const BgkParams bgk{Real(0.8), Vec3{}};
+  const MrtParams mrt = MrtParams::standard(Real(0.9));
+  for (const bool use_mrt : {false, true}) {
+    for (const StorageMode mode : kModes) {
+      SCOPED_TRACE(::testing::Message() << storage_mode_name(mode)
+                                        << (use_mrt ? " MRT" : " BGK"));
+      Lattice a(Int3{6, 6, 6}, mode), b(Int3{6, 6, 6}, mode);
+      for (Lattice* lat : {&a, &b}) {
+        lat->fill_solid_box(Int3{2, 2, 2}, Int3{3, 4, 3});
+        lat->set_flag(Int3{4, 1, 3}, CellType::Outflow);
+        randomize_positive_any(*lat, 5);
+      }
+      if (use_mrt) {
+        collide_mrt(a, mrt);
+        collide_mrt_region(b, mrt, Int3{0, 0, 0}, Int3{6, 6, 6});
+      } else {
+        collide_bgk(a, bgk);
+        collide_bgk_region(b, bgk, Int3{0, 0, 0}, Int3{6, 6, 6});
+      }
+      for (int i = 0; i < Q; ++i) {
+        for (i64 c = 0; c < a.num_cells(); ++c) {
+          ASSERT_TRUE(same_bits(a.f(i, c), b.f(i, c)))
+              << "i=" << i << " cell=" << c << ": " << a.f(i, c)
+              << " vs " << b.f(i, c);
+        }
       }
     }
   }
 }
 
-// The batched collide core against the scalar reference: every fluid
-// cell's post-collision values must be the bytes collide_bgk_cell makes
-// from that cell's gathered pre-collision values, in every storage mode,
-// force policy and walker path. Comparing modes against each other would
-// miss a kernel that drifts the same way everywhere.
+// The batched collide core against the scalar references: every fluid
+// cell's post-collision values must be the bytes collide_bgk_cell (or
+// collide_mrt_cell) makes from that cell's gathered pre-collision values,
+// in every storage mode, operator and walker path. Comparing modes
+// against each other would miss a kernel that drifts the same way
+// everywhere.
 TEST(Collision, BatchedCoreMatchesScalarReference) {
   const Int3 dim{64, 9, 7};
   const Real tau = Real(0.7);
   // Forces large enough that the forcing term moves the low bits of f.
   const Vec3 uniform{Real(0.01), Real(-0.02), Real(0.005)};
-  enum class Force { None, Uniform, PerCell };
-  enum class Path { Full, Region };
+  enum class Op { BgkNone, BgkUniform, BgkPerCell, MrtStandard, MrtClassic };
+  enum class Path { Full, Region, Pooled };
   const Int3 lo{3, 2, 1}, hi{57, 8, 6};
 
   // Per-cell field: a quarter of the cells unforced (one with a -0
@@ -183,13 +195,19 @@ TEST(Collision, BatchedCoreMatchesScalarReference) {
     }
     field[100] = Vec3{Real(-0.0), Real(0), Real(0)};
   }
+  const MrtParams standard = MrtParams::standard(tau);
+  MrtParams classic = standard;
+  classic.equilibrium_from_bgk = false;
 
   for (const StorageMode mode : kModes) {
-    for (const Force force : {Force::None, Force::Uniform, Force::PerCell}) {
-      for (const Path path : {Path::Full, Path::Region}) {
+    for (const Op op : {Op::BgkNone, Op::BgkUniform, Op::BgkPerCell,
+                        Op::MrtStandard, Op::MrtClassic}) {
+      for (const Path path : {Path::Full, Path::Region, Path::Pooled}) {
+        // The per-cell force has no region entry point.
+        if (op == Op::BgkPerCell && path == Path::Region) continue;
         SCOPED_TRACE(::testing::Message()
-                     << storage_mode_name(mode) << " force="
-                     << static_cast<int>(force)
+                     << storage_mode_name(mode) << " op="
+                     << static_cast<int>(op)
                      << " path=" << static_cast<int>(path));
         Lattice lat(dim, mode);
         Rng rng(31);
@@ -211,18 +229,27 @@ TEST(Collision, BatchedCoreMatchesScalarReference) {
           lat.gather_cell(c, pre.data() + c * Q);
         }
 
-        // Region path has no per-cell-force entry point: that case runs
-        // the pooled full pass instead.
         ThreadPool pool(2);
-        const BgkParams p{tau, force == Force::Uniform ? uniform : Vec3{}};
-        bool clipped = false;
-        if (force == Force::PerCell) {
+        const BgkParams p{tau, op == Op::BgkUniform ? uniform : Vec3{}};
+        const bool is_mrt = op == Op::MrtStandard || op == Op::MrtClassic;
+        const MrtParams& mrt = op == Op::MrtClassic ? classic : standard;
+        const bool clipped = path == Path::Region;
+        if (op == Op::BgkPerCell) {
           StepContext ctx;
-          if (path == Path::Region) ctx.pool = &pool;
+          if (path == Path::Pooled) ctx.pool = &pool;
           collide_bgk_forced(lat, tau, field.data(), ctx);
+        } else if (is_mrt) {
+          if (path == Path::Region) {
+            collide_mrt_region(lat, mrt, lo, hi);
+          } else if (path == Path::Pooled) {
+            collide_mrt(lat, mrt, pool);
+          } else {
+            collide_mrt(lat, mrt);
+          }
         } else if (path == Path::Region) {
           collide_bgk_region(lat, p, lo, hi);
-          clipped = true;
+        } else if (path == Path::Pooled) {
+          collide_bgk(lat, p, pool);
         } else {
           collide_bgk(lat, p);
         }
@@ -239,10 +266,14 @@ TEST(Collision, BatchedCoreMatchesScalarReference) {
           Real want[Q] = {};
           std::memcpy(want, pre.data() + c * Q, sizeof want);
           if (inside && lat.flag(c) == CellType::Fluid) {
-            const Vec3 fc = force == Force::PerCell
-                                ? field[static_cast<std::size_t>(c)]
-                                : p.force;
-            collide_bgk_cell(want, tau, fc);
+            if (is_mrt) {
+              collide_mrt_cell(want, mrt);
+            } else {
+              const Vec3 fc = op == Op::BgkPerCell
+                                  ? field[static_cast<std::size_t>(c)]
+                                  : p.force;
+              collide_bgk_cell(want, tau, fc);
+            }
           }
           Real got[Q] = {};
           lat.gather_cell(c, got);

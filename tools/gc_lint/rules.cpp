@@ -549,8 +549,8 @@ std::vector<Finding> lint_source(const std::string& path,
 }
 
 const std::vector<std::string>& default_dirs() {
-  static const std::vector<std::string> dirs = {"src", "bench", "examples",
-                                                "tests", "tools"};
+  static const std::vector<std::string> dirs = {
+      "src", "bench", "examples", "perfbench", "tests", "tools"};
   return dirs;
 }
 
