@@ -110,22 +110,14 @@ StepBreakdown ClusterSimulator::simulate_step(const ClusterScenario& sc) const {
       // Ablation: direct second-nearest-neighbor messages, unscheduled.
       std::vector<netsim::Message> diag;
       for (int node = 0; node < n; ++node) {
-        for (int a = 0; a < 3; ++a) {
-          for (int b = a + 1; b < 3; ++b) {
-            for (int sa = -1; sa <= 1; sa += 2) {
-              for (int sb = -1; sb <= 1; sb += 2) {
-                Int3 off{0, 0, 0};
-                off[a] = sa;
-                off[b] = sb;
-                const int nb2 = decomp.neighbor(node, off);
-                if (nb2 < 0) continue;
-                int free_axis = 3 - a - b;
-                const i64 sz = decomp.block(node).size()[free_axis] *
-                               static_cast<i64>(sizeof(Real));
-                diag.push_back(netsim::Message{node, nb2, sz});
-              }
-            }
+        for (const auto& [off, nb2] : decomp.diagonal_neighbors(node)) {
+          int free_axis = 0;
+          for (int a = 0; a < 3; ++a) {
+            if (off[a] == 0) free_axis = a;
           }
+          const i64 sz = decomp.block(node).size()[free_axis] *
+                         static_cast<i64>(sizeof(Real));
+          diag.push_back(netsim::Message{node, nb2, sz});
         }
       }
       out.net_total_ms += sw.direct_exchange_seconds(diag, n) * 1e3;

@@ -51,6 +51,12 @@ class Decomposition3 {
   /// Axial neighbors of a node (up to 6), as (face, neighbor id).
   std::vector<std::pair<int, int>> axial_neighbors(int node) const;
 
+  /// Diagonal (second-nearest) neighbors of a node (up to 12), as (grid
+  /// offset with exactly two nonzero components, neighbor id).
+  std::vector<std::pair<Int3, int>> diagonal_neighbors(int node) const {
+    return grid_.diagonal_neighbors(node);
+  }
+
   /// Area (cells) of the face shared with the axial neighbor across
   /// `face` (0..5 as lbm::Face); 0 if no neighbor.
   i64 face_area(int node, int face) const;

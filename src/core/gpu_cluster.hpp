@@ -1,15 +1,15 @@
 // The full-stack functional reproduction of the paper's system: each
 // logical cluster node owns a *simulated GPU* (texture stacks + fragment
 // programs) running the LBM, border distributions are gathered on-GPU and
-// read back over the simulated AGP bus, exchanged across MpiLite following
-// the pairwise schedule with two-hop diagonal routing, written back into
-// the neighbor GPUs' ghost layers, and streaming proceeds on-GPU.
+// read back over the simulated AGP bus, exchanged across MpiLite by the
+// same border-exchange pipeline as core::ParallelLbm (two-hop diagonal
+// routing along the pairwise schedule), written back into the neighbor
+// GPUs' ghost layers, and streaming proceeds on-GPU.
 // Produces results bit-identical to both the host distributed solver
 // (core::ParallelLbm) and the serial reference — the payload wire format
 // is byte-compatible with ParallelLbm's, node for node.
 #pragma once
 
-#include <map>
 #include <memory>
 #include <vector>
 
@@ -28,26 +28,30 @@ struct GpuClusterConfig {
   netsim::NodeGrid grid;
   gpusim::GpuSpec gpu = gpusim::GpuSpec::geforce_fx5800_ultra();
   gpusim::BusSpec bus = gpusim::BusSpec::agp8x();
-  /// Executed §4.4 overlap: post border isend/irecvs, render the inner
-  /// streaming rectangle while messages are in flight, wait, write
-  /// ghosts, render the outer strips. Bit-identical to the synchronous
-  /// path (same per-texel programs, each texel rendered exactly once)
-  /// and wire-compatible with it.
+  /// Executed §4.4 overlap: the border exchange (core::exchange_borders)
+  /// renders the inner streaming rectangle while messages are in flight,
+  /// then writes the ghosts and renders the outer strips. When false the
+  /// same exchange runs with an empty inner window, then one full
+  /// streaming pass. Bit-identical either way (same per-texel programs,
+  /// each texel rendered exactly once) and wire-identical.
   bool overlap = false;
   /// Fluid-cell-balanced cut placement (same semantics as
   /// ParallelConfig::fluid_balanced): the cut planes follow the global
   /// lattice's marginal non-solid histograms instead of uniform splits.
   /// Topology and results are unchanged; only block extents move.
   bool fluid_balanced = false;
-  /// When set, overlap mode emits overlap.pack / overlap.inner /
-  /// overlap.wait / overlap.unpack / overlap.outer spans (tid = node)
-  /// and run() publishes the mpi.overlap_hidden_ms gauge. Not owned.
+  /// When set, every node emits overlap.pack / overlap.inner /
+  /// overlap.wait / overlap.unpack / overlap.outer spans (overlap mode) or
+  /// pack / exchange (the wait) / unpack / stream spans (synchronous
+  /// mode) per step, tid = node, and run() publishes the
+  /// mpi.overlap_hidden_ms gauge in overlap mode. Not owned.
   obs::TraceRecorder* trace = nullptr;
 };
 
 class GpuClusterLbm {
  public:
   /// Scatters `global` across the node grid; one simulated GPU per node.
+  /// Like the single-GPU solver, requires a uniform inlet velocity.
   GpuClusterLbm(const lbm::Lattice& global, GpuClusterConfig cfg);
 
   const Decomposition3& decomposition() const { return decomp_; }
@@ -68,7 +72,6 @@ class GpuClusterLbm {
 
  private:
   void node_step(netsim::Comm& comm, int node);
-  void node_step_overlap(netsim::Comm& comm, int node);
 
   GpuClusterConfig cfg_;
   Decomposition3 decomp_;
@@ -78,8 +81,7 @@ class GpuClusterLbm {
   std::vector<std::unique_ptr<gpusim::GpuDevice>> devices_;
   std::vector<std::unique_ptr<gpulbm::GpuLbmSolver>> gpus_;
   netsim::MpiLite world_;
-  std::vector<std::map<std::pair<int, int>, netsim::Payload>> forward_store_;
-  /// Per-node cumulative hidden network time (overlap mode only).
+  /// Per-node cumulative hidden network time (0 outside overlap mode).
   std::vector<double> hidden_ms_;
 };
 

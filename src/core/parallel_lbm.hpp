@@ -1,12 +1,11 @@
 // The distributed LBM of Section 4.3, functionally: each logical cluster
 // node owns a block of the lattice (plus ghost layers), collides locally,
-// exchanges border distributions following the pairwise communication
-// schedule — diagonal traffic routed indirectly in two axial hops — and
-// streams. Produces results identical to the serial lbm reference; the
-// matching *timing* comes from core::ClusterSimulator.
+// exchanges border distributions (core::exchange_borders) — diagonal
+// traffic routed indirectly in two axial hops along the pairwise
+// schedule — and streams. Produces results identical to the serial lbm
+// reference; the matching *timing* comes from core::ClusterSimulator.
 #pragma once
 
-#include <map>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -46,18 +45,21 @@ struct ParallelConfig : lbm::RunParams {
   /// are unchanged.
   bool fluid_balanced = false;
   /// Executes the paper's §4.4 compute–communication overlap for real:
-  /// each step posts the border isend/irecvs first, streams the inner
-  /// cells (those that cannot read a ghost texel) while the messages are
-  /// in flight, then wait_all + ghost unpack + outer-shell streaming.
-  /// Bit-identical to the synchronous path and the serial reference —
-  /// the pull pattern writes each cell exactly once, so phase order
-  /// cannot change a value. Emits overlap.pack / overlap.inner /
-  /// overlap.wait / overlap.unpack / overlap.outer spans and the
-  /// mpi.overlap_hidden_ms gauge when a recorder is attached.
+  /// the border exchange (core::exchange_borders) streams the inner cells
+  /// (those that cannot read a ghost texel) while the messages are in
+  /// flight, then unpacks the ghosts and streams the outer shell. When
+  /// false the same exchange runs with an empty inner window, followed by
+  /// a full-lattice stream. Bit-identical either way — the pull pattern
+  /// writes each cell exactly once, so phase order cannot change a value
+  /// — and wire-identical: the same messages on the same channels.
   bool overlap = false;
-  /// When set, every rank emits collide / pack / unpack / exchange /
-  /// stream spans here (tid = rank), and run() publishes per-rank
-  /// mpi.messages / mpi.bytes / mpi.barrier_waits counters. Null = zero
+  /// When set, every rank emits a collide span per step plus either
+  /// overlap.pack / overlap.inner / overlap.wait / overlap.unpack /
+  /// overlap.outer (overlap mode) or pack / exchange (the wait) / unpack
+  /// / stream (synchronous mode) — tid = rank; thermal runs add one
+  /// exchange span for the temperature ghosts. run() publishes per-rank
+  /// mpi.messages / mpi.bytes / mpi.barrier_waits counters and, in
+  /// overlap mode, the mpi.overlap_hidden_ms gauge. Null = zero
   /// instrumentation cost. Not owned.
   obs::TraceRecorder* trace = nullptr;
   /// Fault injection: when set, MpiLite switches to the reliable
@@ -103,8 +105,7 @@ class ParallelLbm {
   void restore_local(int node, const lbm::Lattice& saved);
 
   /// Clears the communicator after a failed run (abort flag, in-flight
-  /// messages, protocol state) plus any half-forwarded diagonal chunks,
-  /// so a restored simulation can run again.
+  /// messages, protocol state), so a restored simulation can run again.
   void reset_comm();
 
   /// Aborts the communicator world from outside the run: every rank
@@ -147,12 +148,6 @@ class ParallelLbm {
 
  private:
   void node_step(netsim::Comm& comm, int node, i64 global_step);
-  /// The paper's synchronous ordering: schedule-step exchange loop, then
-  /// a full-lattice stream.
-  void sync_exchange_and_stream(netsim::Comm& comm, int node);
-  /// The overlap-mode border exchange + partitioned streaming (replaces
-  /// the synchronous schedule loop + full-lattice stream).
-  void overlap_exchange_and_stream(netsim::Comm& comm, int node);
 
   ParallelConfig cfg_;
   Decomposition3 decomp_;
@@ -163,16 +158,13 @@ class ParallelLbm {
   /// Per-node inner/outer split of the bulk spans (overlap mode only;
   /// built once in the ctor — node flags never change afterwards).
   std::vector<lbm::InnerOuterClass> splits_;
-  /// Per-node cumulative hidden network time (overlap mode only).
+  /// Per-node cumulative hidden network time (0 outside overlap mode).
   std::vector<double> hidden_ms_;
   std::vector<std::unique_ptr<lbm::ThermalField>> thermals_;
   std::vector<std::vector<Vec3>> scratch_u_;
   std::vector<std::vector<Vec3>> scratch_force_;
   netsim::MpiLite world_;
   i64 step_ = 0;
-  // Forwarded diagonal chunks awaiting their second hop, per via node,
-  // keyed by (src, dst).
-  std::vector<std::map<std::pair<int, int>, netsim::Payload>> forward_store_;
 };
 
 }  // namespace gc::core

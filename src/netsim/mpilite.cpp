@@ -11,6 +11,8 @@ namespace gc::netsim {
 
 int Comm::size() const { return world_->size(); }
 
+double Comm::now_us() const { return world_->now_us(); }
+
 void Comm::send(int dst, int tag, Payload data) {
   world_->do_send(rank_, dst, tag, std::move(data));
 }

@@ -85,6 +85,9 @@ class Comm {
   int rank() const { return rank_; }
   int size() const;
 
+  /// The world clock (MpiLite::now_us) that request completion stamps use.
+  double now_us() const;
+
   /// Non-blocking send: enqueues a copy for (dst, tag).
   void send(int dst, int tag, Payload data);
 

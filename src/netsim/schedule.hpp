@@ -7,6 +7,7 @@
 // A -> E in the y steps).
 #pragma once
 
+#include <utility>
 #include <vector>
 
 #include "util/common.hpp"
@@ -32,6 +33,10 @@ struct NodeGrid {
   }
   int id(Int3 c) const { return c.x + dims.x * (c.y + dims.y * c.z); }
   Int3 coords(int node) const;
+  /// Diagonal (second-nearest) neighbors of `node`, as (grid offset with
+  /// exactly two nonzero components, neighbor id); offsets ordered by
+  /// axis pair, then sign.
+  std::vector<std::pair<Int3, int>> diagonal_neighbors(int node) const;
 
   /// Most-square 2D arrangement for n nodes (the paper arranges its
   /// sub-domains in 2D for Table 1).

@@ -2,6 +2,8 @@
 // the cube-vs-slab surface argument of Section 4.3.
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+
 #include "core/border_exchange.hpp"
 #include "core/decomposition.hpp"
 
@@ -59,6 +61,31 @@ TEST(Decomposition, NeighborQueries) {
   EXPECT_EQ(d.neighbor(0, Int3{-1, 0, 0}), -1); // outside
   EXPECT_EQ(d.axial_neighbors(0).size(), 2u);
   EXPECT_EQ(d.axial_neighbors(3).size(), 2u);
+}
+
+TEST(Decomposition, DiagonalNeighbors) {
+  const Decomposition3 d2(Int3{40, 40, 20}, netsim::NodeGrid{Int3{2, 2, 1}});
+  for (int node = 0; node < d2.num_nodes(); ++node) {
+    const auto diag = d2.diagonal_neighbors(node);
+    ASSERT_EQ(diag.size(), 1u) << "node " << node;
+    const auto& [off, nb] = diag[0];
+    EXPECT_EQ(nb, d2.neighbor(node, off));
+    EXPECT_EQ(off.z, 0);
+    EXPECT_NE(off.x, 0);
+    EXPECT_NE(off.y, 0);
+  }
+  EXPECT_EQ(d2.diagonal_neighbors(0)[0].second, 3);
+
+  const netsim::NodeGrid g3{Int3{3, 3, 3}};
+  const Decomposition3 d3(Int3{30, 30, 30}, g3);
+  const auto centre = d3.diagonal_neighbors(g3.id(Int3{1, 1, 1}));
+  EXPECT_EQ(centre.size(), 12u);
+  for (const auto& [off, nb] : centre) {
+    EXPECT_EQ(std::abs(off.x) + std::abs(off.y) + std::abs(off.z), 2);
+    EXPECT_EQ(nb, d3.neighbor(g3.id(Int3{1, 1, 1}), off));
+  }
+  EXPECT_EQ(d3.diagonal_neighbors(g3.id(Int3{0, 0, 0})).size(), 3u);
+  EXPECT_EQ(d3.diagonal_neighbors(g3.id(Int3{2, 2, 2})).size(), 3u);
 }
 
 TEST(Decomposition, InteriorNodeHasFourNeighborsIn2d) {

@@ -120,10 +120,47 @@ TEST(GpuCluster, LedgerAccumulatesAcrossNodes) {
   EXPECT_GT(ledger.download_s, 0.0);  // ghost write-backs happened
 }
 
+TEST(GpuCluster, EmitsOneExchangeSpanSetPerNodeStep) {
+  // Both modes run the shared border-exchange pipeline, so both trace it:
+  // 4 nodes x 2 steps of each phase.
+  for (const bool overlap : {false, true}) {
+    obs::TraceRecorder rec;
+    GpuClusterConfig cfg;
+    cfg.grid = netsim::NodeGrid{Int3{2, 2, 1}};
+    cfg.overlap = overlap;
+    cfg.trace = &rec;
+    GpuClusterLbm cluster(make_global(Int3{12, 12, 4}), cfg);
+    const std::size_t ev0 = rec.num_events();
+    cluster.run(2);
+    obs::RunStats rs;
+    rs.phases = rec.phase_totals(ev0);
+    const auto phases =
+        overlap ? std::vector<const char*>{"overlap.pack", "overlap.inner",
+                                           "overlap.wait", "overlap.unpack",
+                                           "overlap.outer"}
+                : std::vector<const char*>{"pack", "exchange", "unpack",
+                                           "stream"};
+    for (const char* phase : phases) {
+      EXPECT_EQ(rs.phase_count(phase), 8) << phase << " overlap=" << overlap;
+    }
+  }
+}
+
 TEST(GpuCluster, Rejects3dGrids) {
   Lattice initial = make_global(Int3{8, 8, 8});
   GpuClusterConfig cfg;
   cfg.grid = netsim::NodeGrid{Int3{2, 1, 2}};
+  EXPECT_THROW(GpuClusterLbm(initial, cfg), Error);
+}
+
+TEST(GpuCluster, RejectsInletProfile) {
+  // The fragment programs read one uniform inlet velocity: a profiled
+  // inlet must be refused, not silently flattened by the scatter.
+  Lattice initial = make_global(Int3{12, 12, 4});
+  initial.set_inlet_profile(
+      [](Int3 p) { return Vec3{Real(0.01) * Real(p.y), 0, 0}; });
+  GpuClusterConfig cfg;
+  cfg.grid = netsim::NodeGrid{Int3{2, 1, 1}};
   EXPECT_THROW(GpuClusterLbm(initial, cfg), Error);
 }
 

@@ -253,11 +253,11 @@ TEST(Obs, ParallelRunEmitsPerRankSpansAndCounters) {
   const obs::RunStats rs = par.run(2);
   EXPECT_EQ(rs.steps, 2);
   EXPECT_GT(rs.wall_ms, 0.0);
-  // 4 ranks x 2 steps of collide/stream; exchange spans per schedule step.
+  // 4 ranks x 2 steps of collide/exchange/stream: the border exchange
+  // waits once per rank-step, whatever the schedule length.
   EXPECT_EQ(rs.phase_count("collide"), 8);
   EXPECT_EQ(rs.phase_count("stream"), 8);
-  EXPECT_EQ(rs.phase_count("exchange"),
-            8 * static_cast<i64>(par.schedule().steps.size()));
+  EXPECT_EQ(rs.phase_count("exchange"), 8);
   EXPECT_GT(rs.phase_count("pack"), 0);
   EXPECT_GT(rs.phase_count("unpack"), 0);
 
