@@ -46,10 +46,10 @@ class ClusterSimulator {
   StepBreakdown simulate_step(const ClusterScenario& sc) const;
 
   /// Per-pair payloads for every schedule step (face bytes + piggybacked
-  /// diagonal chunks), computed analytically from the decomposition. Same
-  /// name and shape as ParallelLbm::traffic_bytes_per_step — the analytic
-  /// prediction of exactly what the functional layer measures, asserted
-  /// equal in the test suite.
+  /// diagonal chunks), computed analytically from the decomposition — the
+  /// input for netsim::SwitchModel, and the one traffic accounting: the
+  /// test suite asserts it equals the payload ParallelLbm moves through
+  /// MpiLite.
   static netsim::TrafficMatrix traffic_bytes_per_step(
       const Decomposition3& decomp, const netsim::CommSchedule& sched,
       bool indirect_diagonals);

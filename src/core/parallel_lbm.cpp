@@ -65,7 +65,7 @@ ParallelLbm::ParallelLbm(const lbm::Lattice& global, ParallelConfig cfg)
   if (cfg_.indirect_diagonals) {
     routes_ = netsim::plan_indirect_routes(sched_);
   }
-  if (cfg_.faults) world_.set_fault_spec(cfg_.faults);
+  world_.set_fault_spec(cfg_.faults);
   world_.set_reliability(cfg_.reliability);
   if (cfg_.thermal) {
     GC_CHECK_MSG(cfg_.collision == lbm::CollisionKind::MRT,
@@ -246,18 +246,15 @@ obs::RunStats ParallelLbm::run(int steps) {
                        (d.payload_values - b.payload_values) * real_bytes);
       rec->add_counter("mpi.barrier_waits", r,
                        d.barrier_waits - b.barrier_waits);
-      if (cfg_.faults) {
-        const netsim::ReliabilityStats rd = world_.reliability_stats(r);
-        const netsim::ReliabilityStats& rb =
-            rel_before[static_cast<std::size_t>(r)];
-        rec->add_counter("ft.retransmits", r,
-                         rd.retransmits - rb.retransmits);
-        rec->add_counter("ft.corrupt_detected", r,
-                         rd.corrupt_detected - rb.corrupt_detected);
-        rec->add_counter("ft.duplicates_dropped", r,
-                         rd.duplicates_dropped - rb.duplicates_dropped);
-        rec->add_counter("ft.recv_timeouts", r, rd.timeouts - rb.timeouts);
-      }
+      const netsim::ReliabilityStats rd = world_.reliability_stats(r);
+      const netsim::ReliabilityStats& rb =
+          rel_before[static_cast<std::size_t>(r)];
+      rec->add_counter("ft.retransmits", r, rd.retransmits - rb.retransmits);
+      rec->add_counter("ft.corrupt_detected", r,
+                       rd.corrupt_detected - rb.corrupt_detected);
+      rec->add_counter("ft.duplicates_dropped", r,
+                       rd.duplicates_dropped - rb.duplicates_dropped);
+      rec->add_counter("ft.recv_timeouts", r, rd.timeouts - rb.timeouts);
       if (cfg_.overlap) {
         rec->set_gauge("mpi.overlap_hidden_ms", r,
                        hidden_ms_[static_cast<std::size_t>(r)]);
@@ -313,51 +310,6 @@ void ParallelLbm::gather_temperature(std::vector<Real>& out) const {
       }
     }
   }
-}
-
-netsim::TrafficMatrix ParallelLbm::traffic_bytes_per_step() const {
-  netsim::TrafficMatrix bytes(sched_.steps.size());
-  const auto real_bytes = static_cast<i64>(sizeof(Real));
-
-  for (std::size_t k = 0; k < sched_.steps.size(); ++k) {
-    const auto& step = sched_.steps[k];
-    bytes[k].assign(step.size(), 0);
-    for (std::size_t pi = 0; pi < step.size(); ++pi) {
-      const netsim::ExchangePair& p = step[pi];
-      // Face payload (one direction; the exchange is symmetric).
-      const Int3 off =
-          cfg_.grid.coords(p.b) - cfg_.grid.coords(p.a);
-      int face = -1;
-      for (int a = 0; a < 3; ++a) {
-        if (off[a] != 0) face = 2 * a + (off[a] > 0 ? 1 : 0);
-      }
-      bytes[k][pi] +=
-          face_payload_size(domains_[static_cast<std::size_t>(p.a)], face) *
-          real_bytes;
-    }
-  }
-
-  // Piggybacked diagonal chunks ride the scheduled pair messages.
-  for (const netsim::IndirectRoute& r : routes_) {
-    auto add = [&](int step, int na, int nb, i64 sz) {
-      const auto want = std::minmax(na, nb);
-      const auto& pairs = sched_.steps[static_cast<std::size_t>(step)];
-      for (std::size_t pi = 0; pi < pairs.size(); ++pi) {
-        if (std::minmax(pairs[pi].a, pairs[pi].b) == want) {
-          bytes[static_cast<std::size_t>(step)][pi] += sz;
-          return;
-        }
-      }
-      GC_CHECK_MSG(false, "route hop not found in schedule");
-    };
-    const Int3 off = cfg_.grid.coords(r.dst) - cfg_.grid.coords(r.src);
-    const i64 sz =
-        edge_payload_size(domains_[static_cast<std::size_t>(r.src)], off) *
-        real_bytes;
-    add(r.first_step, r.src, r.via, sz);
-    add(r.second_step, r.via, r.dst, sz);
-  }
-  return bytes;
 }
 
 }  // namespace gc::core

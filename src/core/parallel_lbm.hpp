@@ -58,17 +58,19 @@ struct ParallelConfig : lbm::RunParams {
   /// overlap.outer (overlap mode) or pack / exchange (the wait) / unpack
   /// / stream (synchronous mode) — tid = rank; thermal runs add one
   /// exchange span for the temperature ghosts. run() publishes per-rank
-  /// mpi.messages / mpi.bytes / mpi.barrier_waits counters and, in
-  /// overlap mode, the mpi.overlap_hidden_ms gauge. Null = zero
+  /// mpi.messages / mpi.bytes / mpi.barrier_waits counters, the
+  /// reliable exchange's ft.retransmits / ft.corrupt_detected /
+  /// ft.duplicates_dropped / ft.recv_timeouts counters and, in overlap
+  /// mode, the mpi.overlap_hidden_ms gauge. Null = zero
   /// instrumentation cost. Not owned.
   obs::TraceRecorder* trace = nullptr;
-  /// Fault injection: when set, MpiLite switches to the reliable
-  /// sequence-numbered/checksummed envelope protocol and applies the
-  /// spec's message and rank faults. Not owned (and mutable: crash
-  /// faults are one-shot, counters accumulate). Null = perfect network,
-  /// zero protocol overhead.
+  /// Fault injection: when set, MpiLite applies the spec's message faults
+  /// to its envelope stream and the run honours its rank faults. Not
+  /// owned (and mutable: crash faults are one-shot, counters accumulate).
+  /// Null = perfect network; the exchange runs the same sequence/CRC
+  /// envelope either way.
   netsim::FaultSpec* faults = nullptr;
-  /// Retransmit policy used when `faults` is attached.
+  /// Retransmit and receive-timeout policy of the reliable exchange.
   netsim::ReliabilityConfig reliability;
   /// When set, each rank scans its owned region after every
   /// `sentinel->every`-th step and throws DivergenceError on NaN or
@@ -126,12 +128,6 @@ class ParallelLbm {
   bool has_thermal() const { return !thermals_.empty(); }
 
   const ParallelConfig& config() const { return cfg_; }
-
-  /// Bytes exchanged per schedule step per pair (face payloads plus any
-  /// piggybacked diagonal hops) — the input for netsim::SwitchModel.
-  /// Same shape and name as ClusterSimulator::traffic_bytes_per_step, so
-  /// the measured and analytic accountings can be diffed entry-by-entry.
-  netsim::TrafficMatrix traffic_bytes_per_step() const;
 
   /// Total payload values routed through MpiLite so far.
   i64 total_payload_values() const { return world_.total_payload_values(); }

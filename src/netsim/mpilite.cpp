@@ -21,16 +21,10 @@ Payload Comm::recv(int src, int tag) {
   return world_->do_recv(src, rank_, tag);
 }
 
-Payload Comm::sendrecv(int partner, int tag, Payload data) {
-  send(partner, tag, std::move(data));
-  return recv(partner, tag);
-}
-
 void Comm::barrier() { world_->do_barrier(rank_); }
 
 Request Comm::isend(int dst, int tag, Payload data) {
   auto st = std::make_shared<Request::State>();
-  st->is_send = true;
   st->peer = dst;
   st->tag = tag;
   world_->do_send(rank_, dst, tag, std::move(data));
@@ -60,39 +54,23 @@ void Comm::fulfil_oldest(int src, int tag, Payload data, double t_us) {
   st->done = true;
 }
 
-Payload Comm::wait(Request& r) {
-  GC_CHECK_MSG(r.valid(), "wait on an invalid request");
-  const std::shared_ptr<Request::State>& st = r.st_;
-  while (!st->done) {
+void Comm::drive(Request::State& st) {
+  while (!st.done) {
     double t_us = 0.0;
-    Payload p = world_->do_recv(st->peer, rank_, st->tag, &t_us);
-    fulfil_oldest(st->peer, st->tag, std::move(p), t_us);
+    Payload p = world_->do_recv(st.peer, rank_, st.tag, &t_us);
+    fulfil_oldest(st.peer, st.tag, std::move(p), t_us);
   }
-  return std::move(st->data);
 }
 
-bool Comm::test(Request& r) {
-  GC_CHECK_MSG(r.valid(), "test on an invalid request");
-  const std::shared_ptr<Request::State>& st = r.st_;
-  while (!st->done) {
-    double t_us = 0.0;
-    std::optional<Payload> p =
-        world_->try_recv(st->peer, rank_, st->tag, &t_us);
-    if (!p) return false;
-    fulfil_oldest(st->peer, st->tag, std::move(*p), t_us);
-  }
-  return true;
+Payload Comm::wait(Request& r) {
+  GC_CHECK_MSG(r.valid(), "wait on an invalid request");
+  drive(*r.st_);
+  return std::move(r.st_->data);
 }
 
 void Comm::wait_all(std::vector<Request>& rs) {
   for (Request& r : rs) {
-    if (!r.valid() || r.st_->is_send) continue;
-    const std::shared_ptr<Request::State>& st = r.st_;
-    while (!st->done) {
-      double t_us = 0.0;
-      Payload p = world_->do_recv(st->peer, rank_, st->tag, &t_us);
-      fulfil_oldest(st->peer, st->tag, std::move(p), t_us);
-    }
+    if (r.valid()) drive(*r.st_);
   }
 }
 
@@ -228,16 +206,20 @@ void MpiLite::push_msg(const Key& key, Msg m) {
   mailboxes_[key].push(std::move(m));
 }
 
-void MpiLite::inject(const Key& key, u64 seq, const Payload& data) {
+void MpiLite::inject(const Key& key, u64 seq, u32 crc, Payload data) {
+  Msg m;
+  m.seq = seq;
+  m.crc = crc;
+  m.t_us = now_us();
+  m.data = std::move(data);
   FaultSpec* f = faults_;
+  if (!f) {
+    push_msg(key, std::move(m));
+    return;
+  }
   if (f->blackholed(key.src, key.dst, key.tag)) return;
   if (f->roll(FaultKind::Drop, key.src, key.dst, key.tag, seq)) return;
 
-  Msg m;
-  m.seq = seq;
-  m.crc = crc32(data.data(), data.size() * sizeof(Real));
-  m.t_us = now_us();
-  m.data = data;
   if (f->roll(FaultKind::Corrupt, key.src, key.dst, key.tag, seq) &&
       !m.data.empty()) {
     const u64 bit = f->corrupt_bit(key.src, key.dst, key.tag, seq,
@@ -281,6 +263,8 @@ void MpiLite::retransmit(const Key& key, u64 seq) {
 
 void MpiLite::do_send(int src, int dst, int tag, Payload data) {
   GC_CHECK_MSG(dst >= 0 && dst < ranks_, "send to invalid rank " << dst);
+  // Checksummed on the sender's thread, before the shared mailbox lock.
+  const u32 crc = crc32(data.data(), data.size() * sizeof(Real));
   {
     std::lock_guard<std::mutex> lock(mu_);
     total_messages_ += 1;
@@ -289,68 +273,16 @@ void MpiLite::do_send(int src, int dst, int tag, Payload data) {
     rt.messages += 1;
     rt.payload_values += static_cast<i64>(data.size());
     const Key key{src, dst, tag};
-    if (!faults_) {
-      Msg m;
-      m.t_us = now_us();
-      m.data = std::move(data);
-      mailboxes_[key].push(std::move(m));
-    } else {
-      const u64 seq = send_seq_[key]++;
-      // Retained until the receiver delivers it (delivery is the ack).
-      send_log_[key].emplace(seq, data);
-      inject(key, seq, data);
-    }
+    const u64 seq = send_seq_[key]++;
+    // Retained until the receiver delivers it (delivery is the ack).
+    send_log_[key].emplace(seq, data);
+    inject(key, seq, crc, std::move(data));
   }
   cv_.notify_all();
 }
 
-Payload MpiLite::do_recv(int src, int dst, int tag, double* enqueue_us) {
-  GC_CHECK_MSG(src >= 0 && src < ranks_, "recv from invalid rank " << src);
-  std::unique_lock<std::mutex> lock(mu_);
-  const Key key{src, dst, tag};
-  if (faults_) return recv_reliable(key, lock, enqueue_us);
-
-  cv_.wait(lock, [this, &key] {
-    if (aborted()) return true;
-    auto it = mailboxes_.find(key);
-    return it != mailboxes_.end() && !it->second.empty();
-  });
-  auto it = mailboxes_.find(key);
-  if (it == mailboxes_.end() || it->second.empty()) {
-    GC_CHECK(aborted());
-    throw CommAborted("recv aborted: another rank failed");
-  }
-  Msg m = std::move(it->second.front());
-  it->second.pop();
-  if (enqueue_us) *enqueue_us = m.t_us;
-  return std::move(m.data);
-}
-
-std::optional<Payload> MpiLite::try_recv(int src, int dst, int tag,
-                                         double* enqueue_us) {
-  GC_CHECK_MSG(src >= 0 && src < ranks_, "recv from invalid rank " << src);
-  std::lock_guard<std::mutex> lock(mu_);
-  const Key key{src, dst, tag};
-  if (faults_) {
-    if (std::optional<Msg> m = poll_reliable(key)) {
-      return deliver_reliable(key, std::move(*m), enqueue_us);
-    }
-    if (aborted()) throw CommAborted("recv aborted: another rank failed");
-    return std::nullopt;
-  }
-  auto it = mailboxes_.find(key);
-  if (it == mailboxes_.end() || it->second.empty()) {
-    if (aborted()) throw CommAborted("recv aborted: another rank failed");
-    return std::nullopt;
-  }
-  Msg m = std::move(it->second.front());
-  it->second.pop();
-  if (enqueue_us) *enqueue_us = m.t_us;
-  return std::move(m.data);
-}
-
-std::optional<MpiLite::Msg> MpiLite::poll_reliable(const Key& key) {
-  const u64 expect = recv_next_[key];
+std::optional<MpiLite::Msg> MpiLite::poll_channel(const Key& key,
+                                                  u64 expect) {
   ReliabilityStats& st = rel_stats_[static_cast<std::size_t>(key.dst)];
   auto& ooo = ooo_[key];
   for (;;) {
@@ -381,28 +313,25 @@ std::optional<MpiLite::Msg> MpiLite::poll_reliable(const Key& key) {
   }
 }
 
-Payload MpiLite::deliver_reliable(const Key& key, Msg m, double* enqueue_us) {
-  const u64 expect = recv_next_[key];
-  recv_next_[key] = expect + 1;
-  // Ack: purge the sender-side retained copies up to this point.
-  auto lit = send_log_.find(key);
-  if (lit != send_log_.end()) {
-    lit->second.erase(lit->second.begin(), lit->second.upper_bound(expect));
-  }
-  if (enqueue_us) *enqueue_us = m.t_us;
-  return std::move(m.data);
-}
-
-Payload MpiLite::recv_reliable(const Key& key,
-                               std::unique_lock<std::mutex>& lock,
-                               double* enqueue_us) {
-  const u64 expect = recv_next_[key];
-  ReliabilityStats& st = rel_stats_[static_cast<std::size_t>(key.dst)];
+Payload MpiLite::do_recv(int src, int dst, int tag, double* enqueue_us) {
+  GC_CHECK_MSG(src >= 0 && src < ranks_, "recv from invalid rank " << src);
+  std::unique_lock<std::mutex> lock(mu_);
+  const Key key{src, dst, tag};
+  u64& next = recv_next_[key];
+  const u64 expect = next;
   int attempts = 0;
 
   for (;;) {
-    if (std::optional<Msg> m = poll_reliable(key)) {
-      return deliver_reliable(key, std::move(*m), enqueue_us);
+    if (std::optional<Msg> m = poll_channel(key, expect)) {
+      next = expect + 1;
+      // Ack: purge the sender-side retained copies up to this point.
+      auto lit = send_log_.find(key);
+      if (lit != send_log_.end()) {
+        lit->second.erase(lit->second.begin(),
+                          lit->second.upper_bound(expect));
+      }
+      if (enqueue_us) *enqueue_us = m->t_us;
+      return std::move(m->data);
     }
     if (aborted()) {
       throw CommAborted("recv aborted: another rank failed");
@@ -417,12 +346,12 @@ Payload MpiLite::recv_reliable(const Key& key,
       return it != mailboxes_.end() && !it->second.empty();
     });
     if (!woke) {
-      ++st.timeouts;
+      ++rel_stats_[static_cast<std::size_t>(dst)].timeouts;
       ++attempts;
       if (attempts > rel_.max_retries) {
         throw CommTimeout("recv timeout: no intact message from rank " +
-                          std::to_string(key.src) + " tag " +
-                          std::to_string(key.tag) + " seq " +
+                          std::to_string(src) + " tag " +
+                          std::to_string(tag) + " seq " +
                           std::to_string(expect) + " after " +
                           std::to_string(attempts) + " attempts");
       }

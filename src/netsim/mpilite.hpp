@@ -4,16 +4,16 @@
 // This layer provides the *functional* data movement of the distributed
 // LBM; the *timing* of the same traffic comes from netsim::SwitchModel.
 //
-// Fault tolerance: attaching a netsim::FaultSpec switches every channel
-// to a reliable envelope protocol — sequence-numbered, CRC32-checksummed
-// messages with receive timeouts and bounded retransmit from a sender-side
-// retained copy (the in-process stand-in for an ack/retransmit protocol:
-// delivery purges the retained copy, which is exactly what an ack
-// achieves). Exhausted retries raise CommTimeout instead of hanging, and
-// any rank failure flips a world-wide abort flag that wakes every rank
-// blocked in recv/barrier with CommAborted, so one failure never
-// deadlocks the world. Without a FaultSpec the legacy zero-overhead path
-// is used (no CRC, no retained copies, no timeouts).
+// One transport: every message travels in a reliable envelope —
+// sequence-numbered, CRC32-checksummed, with receive timeouts and bounded
+// retransmit from a sender-side retained copy (the in-process stand-in for
+// an ack/retransmit protocol: delivery purges the retained copy, which is
+// exactly what an ack achieves). A receive whose message never arrives
+// raises CommTimeout once the ReliabilityConfig budget is spent instead
+// of hanging, and any rank failure flips a world-wide abort flag that
+// wakes every rank blocked in recv/barrier with CommAborted, so one
+// failure never deadlocks the world. An attached netsim::FaultSpec only
+// injects faults into that envelope; it does not change the protocol.
 #pragma once
 
 #include <condition_variable>
@@ -44,7 +44,7 @@ class Comm;
 /// Handle for a nonblocking operation (isend/irecv). Copyable: copies
 /// share the operation's state, so a request can sit in several
 /// wait_all batches (completion is idempotent). Completion only
-/// advances inside wait/test/wait_all on the owning Comm — there is no
+/// advances inside wait/wait_all on the owning Comm — there is no
 /// background progress thread, matching how MPI progress is typically
 /// driven from the host loop.
 class Request {
@@ -68,7 +68,6 @@ class Request {
  private:
   friend class Comm;
   struct State {
-    bool is_send = false;
     int peer = -1;
     int tag = 0;
     bool done = false;
@@ -92,12 +91,9 @@ class Comm {
   void send(int dst, int tag, Payload data);
 
   /// Blocking receive of the next message from (src, tag), FIFO order.
-  /// Under a FaultSpec this waits at most the configured timeout/retry
-  /// budget and throws CommTimeout; a world abort throws CommAborted.
+  /// Waits at most the ReliabilityConfig timeout/retry budget and throws
+  /// CommTimeout; a world abort throws CommAborted.
   Payload recv(int src, int tag);
-
-  /// Combined exchange with a partner (both sides must call it).
-  Payload sendrecv(int partner, int tag, Payload data);
 
   /// Synchronizes all ranks. Throws CommAborted if the world aborts
   /// while waiting.
@@ -110,7 +106,7 @@ class Comm {
   // --- nonblocking operations -------------------------------------------
   // Matching is FIFO per (src, tag) channel: the channel's next message
   // always completes the *oldest* outstanding irecv, regardless of which
-  // handle wait/test is called on. Do not mix blocking recv() with
+  // handle wait is called on. Do not mix blocking recv() with
   // outstanding irecv()s on the same channel — the blocking call would
   // steal a message the posted request is owed.
 
@@ -121,29 +117,27 @@ class Comm {
   Request isend(int dst, int tag, Payload data);
 
   /// Posts a receive for the next unclaimed message on (src, tag) and
-  /// returns immediately. Complete it with wait / test / wait_all.
+  /// returns immediately. Complete it with wait / wait_all.
   Request irecv(int src, int tag);
 
   /// Blocks until `r` completes and returns its payload (moved out; a
   /// second wait on the same handle returns an empty payload). Send
-  /// requests return an empty payload. Under a FaultSpec this obeys the
-  /// reliable-exchange timeout/retry budget; a world abort throws
-  /// CommAborted instead of hanging — same contract as recv().
+  /// requests return an empty payload. Same timeout/abort contract as
+  /// recv().
   Payload wait(Request& r);
-
-  /// Drives progress without blocking; true once `r` is complete (its
-  /// payload is then retrievable with wait). Never throws CommTimeout;
-  /// throws CommAborted if the world aborted and nothing is deliverable.
-  bool test(Request& r);
 
   /// Completes every request in `rs` (payloads stay in the handles).
   /// Invalid (default-constructed) entries and duplicates of an already
-  /// completed request are no-ops. Throws CommAborted on a world abort.
+  /// completed request are no-ops. Same timeout/abort contract as recv().
   void wait_all(std::vector<Request>& rs);
 
  private:
   friend class MpiLite;
   Comm(MpiLite* world, int rank) : world_(world), rank_(rank) {}
+
+  /// Receives on the request's channel until `st` completes (the one
+  /// progress loop behind wait and wait_all).
+  void drive(Request::State& st);
 
   /// Hands a delivered message to the oldest outstanding irecv on
   /// (src, tag). `t_us` is the message's enqueue stamp.
@@ -166,7 +160,8 @@ struct RankTraffic {
 };
 
 /// Receiver-side tallies of the reliable-exchange protocol, per receiving
-/// rank. All zero when no FaultSpec is attached.
+/// rank. A fault-free world can still count timeouts: a peer that is
+/// slower than one base receive wait costs the receiver a timeout.
 struct ReliabilityStats {
   i64 retransmits = 0;         ///< retained copies re-injected
   i64 corrupt_detected = 0;    ///< CRC mismatches discarded
@@ -174,8 +169,8 @@ struct ReliabilityStats {
   i64 timeouts = 0;            ///< receive waits that expired
 };
 
-/// Retransmit policy of the reliable exchange (used only with a
-/// FaultSpec attached).
+/// Retransmit policy of the reliable exchange. The defaults give a
+/// receive about 16 s before it throws CommTimeout.
 struct ReliabilityConfig {
   double recv_timeout_ms = 250;  ///< base per-attempt receive wait
   int max_retries = 10;          ///< timeout attempts before CommTimeout
@@ -189,9 +184,10 @@ class MpiLite {
 
   int size() const { return ranks_; }
 
-  /// Attaches (or detaches, with nullptr) a fault specification. Enables
-  /// the reliable envelope protocol on every channel. Not owned; must
-  /// outlive the runs it is attached for. Call between runs only.
+  /// Attaches (or detaches, with nullptr) a fault specification whose
+  /// message faults are injected into the envelope stream and whose
+  /// stalls delay barriers. Not owned; must outlive the runs it is
+  /// attached for. Call between runs only.
   void set_fault_spec(FaultSpec* spec);
   FaultSpec* fault_spec() const { return faults_; }
 
@@ -257,8 +253,7 @@ class MpiLite {
   };
 
   /// The envelope: sequence number + CRC32 of the payload bytes plus the
-  /// world-clock enqueue stamp. In the legacy (no-fault) path seq/crc
-  /// stay zero and are never checked.
+  /// world-clock enqueue stamp.
   struct Msg {
     u64 seq = 0;
     u32 crc = 0;
@@ -267,33 +262,23 @@ class MpiLite {
   };
 
   void do_send(int src, int dst, int tag, Payload data) GC_EXCLUDES(mu_);
+  /// Receives the next intact message in sequence on (src, dst, tag),
+  /// waiting with timeout/backoff and retransmitting the retained copy
+  /// after each expired wait.
   Payload do_recv(int src, int dst, int tag, double* enqueue_us = nullptr)
       GC_EXCLUDES(mu_);
-  Payload recv_reliable(const Key& key, std::unique_lock<std::mutex>& lock,
-                        double* enqueue_us) GC_REQUIRES(mu_);
-  /// Nonblocking receive: delivers the channel's next message if one is
-  /// immediately available (under a FaultSpec this drains whatever
-  /// envelopes are present, handling duplicates / CRC NACKs / reordering
-  /// exactly like the blocking path, but never waits and never counts a
-  /// timeout). Returns nullopt when nothing is deliverable; throws
-  /// CommAborted when the world aborted and nothing is deliverable.
-  std::optional<Payload> try_recv(int src, int dst, int tag,
-                                  double* enqueue_us = nullptr)
-      GC_EXCLUDES(mu_);
-  /// Drains immediately-available envelopes on `key` until the expected
-  /// sequence number is deliverable or the mailbox runs dry (handling
-  /// duplicates, CRC-failure NACKs and out-of-order arrivals). Does not
-  /// advance recv_next_. Caller holds mu_.
-  std::optional<Msg> poll_reliable(const Key& key) GC_REQUIRES(mu_);
-  /// Commits a message poll_reliable matched: advances recv_next_ and
-  /// purges acked retained copies. Caller holds mu_.
-  Payload deliver_reliable(const Key& key, Msg m, double* enqueue_us)
+  /// Drains immediately-available envelopes on `key` until sequence
+  /// number `expect` is deliverable or the mailbox runs dry (handling
+  /// duplicates, CRC-failure NACKs and out-of-order arrivals). Caller
+  /// holds mu_.
+  std::optional<Msg> poll_channel(const Key& key, u64 expect)
       GC_REQUIRES(mu_);
   void do_barrier(int rank) GC_EXCLUDES(mu_, barrier_mu_);
 
-  /// Delivers one first-transmission envelope through the fault filter
-  /// (drop/duplicate/delay/corrupt). Caller holds mu_.
-  void inject(const Key& key, u64 seq, const Payload& data)
+  /// Delivers one first-transmission envelope, through the fault filter
+  /// (drop/duplicate/delay/corrupt) when a FaultSpec is attached. `crc`
+  /// is the checksum of the intact payload. Caller holds mu_.
+  void inject(const Key& key, u64 seq, u32 crc, Payload data)
       GC_REQUIRES(mu_);
   /// Re-injects the retained copy of (key, seq) verbatim (blackholes
   /// still swallow it). Caller holds mu_.
@@ -325,7 +310,7 @@ class MpiLite {
   std::vector<RankTraffic> rank_traffic_;
   std::vector<ReliabilityStats> rel_stats_ GC_GUARDED_BY(mu_);
 
-  // Reliable-exchange state (all empty in the legacy path).
+  // Reliable-exchange state.
   /// Next seq to assign.
   std::map<Key, u64> send_seq_ GC_GUARDED_BY(mu_);
   /// Next seq expected.

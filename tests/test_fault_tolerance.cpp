@@ -260,6 +260,7 @@ TEST(ReliableExchange, BlackholeRaisesTypedTimeoutNotHang) {
   EXPECT_THROW(world.run([](Comm&) {}), Error);
   world.reset();
   world.set_fault_spec(nullptr);
+  world.set_reliability(netsim::ReliabilityConfig{});
   world.run([](Comm& comm) {
     if (comm.rank() == 0) comm.send(1, netsim::kTest4, Payload{Real(5)});
     if (comm.rank() == 1) {

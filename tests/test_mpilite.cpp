@@ -1,10 +1,13 @@
-// In-process message passing: point-to-point ordering, sendrecv, barrier,
-// error propagation.
+// In-process message passing: point-to-point ordering, pairwise exchange,
+// barrier, error propagation, and the reliable envelope's timeouts on a
+// fault-free world.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <numeric>
 #include <string>
+#include <thread>
 
 #include "netsim/mpilite.hpp"
 
@@ -55,8 +58,8 @@ TEST(MpiLite, SendRecvExchanges) {
   MpiLite world(2);
   world.run([](Comm& comm) {
     const int partner = 1 - comm.rank();
-    const Payload got =
-        comm.sendrecv(partner, netsim::kTest5, Payload{Real(comm.rank())});
+    comm.send(partner, netsim::kTest5, Payload{Real(comm.rank())});
+    const Payload got = comm.recv(partner, netsim::kTest5);
     EXPECT_FLOAT_EQ(got[0], Real(partner));
   });
 }
@@ -169,6 +172,35 @@ TEST(MpiLite, AbortedWorldRequiresResetThenRunsAgain) {
   });
 }
 
+TEST(MpiLite, SlowPeerCostsATimeoutButDelivers) {
+  // Without a FaultSpec the exchange still runs the envelope: a receive
+  // outlasting one base wait counts a timeout, retries, and delivers.
+  MpiLite world(2);
+  world.set_reliability({5.0, 50, 1.5, 8.0});
+  world.run([](Comm& comm) {
+    if (comm.rank() == 0) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(30));
+      comm.send(1, netsim::kTest4, Payload{Real(42)});
+    } else {
+      EXPECT_EQ(comm.recv(0, netsim::kTest4), Payload{Real(42)});
+    }
+  });
+  EXPECT_GE(world.reliability_stats(1).timeouts, 1);
+  EXPECT_EQ(world.reliability_totals().retransmits, 0);
+}
+
+TEST(MpiLite, MissingSenderTimesOutInsteadOfHanging) {
+  // Fault-free world, peer that never sends: the receive spends its
+  // retry budget and throws CommTimeout rather than blocking forever.
+  MpiLite world(2);
+  world.set_reliability({2.0, 3, 1.5, 8.0});
+  EXPECT_THROW(world.run([](Comm& comm) {
+                 if (comm.rank() == 1) comm.recv(0, netsim::kTest3);
+               }),
+               CommTimeout);
+  EXPECT_EQ(world.reliability_stats(1).timeouts, 4);
+}
+
 TEST(MpiLite, SingleRankWorldWorks) {
   MpiLite world(1);
   int visits = 0;
@@ -202,26 +234,6 @@ TEST(MpiLiteRequest, OutOfOrderWaitMatchesPostingOrder) {
       EXPECT_TRUE(r1.done());
       EXPECT_EQ(comm.wait(r0), Payload{Real(10)});
       EXPECT_EQ(comm.wait(r1), Payload{Real(11)});
-    }
-  });
-}
-
-TEST(MpiLiteRequest, TestPollsWithoutBlocking) {
-  MpiLite world(2);
-  world.run([](Comm& comm) {
-    if (comm.rank() == 0) {
-      Request s = comm.isend(1, netsim::kTest3, Payload{Real(5)});
-      // Buffered send: complete the moment it is posted.
-      EXPECT_TRUE(s.done());
-      comm.barrier();
-    } else {
-      Request r = comm.irecv(0, netsim::kTest3);
-      EXPECT_FALSE(r.done());
-      comm.barrier();  // now the message is certainly in the mailbox
-      while (!comm.test(r)) {
-      }
-      EXPECT_TRUE(r.done());
-      EXPECT_EQ(comm.wait(r), Payload{Real(5)});
     }
   });
 }
@@ -261,7 +273,11 @@ TEST(MpiLiteRequest, ReliableDeliveryUnderDropsAndCorruption) {
   world.run([n](Comm& comm) {
     if (comm.rank() == 0) {
       for (int k = 0; k < n; ++k) {
-        comm.isend(1, netsim::kTest0, Payload{Real(k), Real(3 * k)});
+        // Buffered send: complete the moment it is posted, whatever the
+        // network then does to the envelope.
+        EXPECT_TRUE(
+            comm.isend(1, netsim::kTest0, Payload{Real(k), Real(3 * k)})
+                .done());
       }
     } else {
       std::vector<Request> rs;

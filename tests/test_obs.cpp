@@ -285,25 +285,63 @@ TEST(Obs, ParallelRunEmitsPerRankSpansAndCounters) {
 }
 
 TEST(Obs, MeasuredTrafficMatchesAnalyticPerScheduleStep) {
-  // The satellite alignment: the analytic (ClusterSimulator) and measured
-  // (ParallelLbm) traffic accountings agree entry-by-entry on 2x2x1.
-  Lattice lat = make_flow_lattice(Int3{16, 16, 8});
-  core::ParallelConfig cfg;
-  cfg.grid = netsim::NodeGrid{Int3{2, 2, 1}};
-  core::ParallelLbm par(lat, cfg);
-
-  const netsim::TrafficMatrix measured = par.traffic_bytes_per_step();
-  const netsim::TrafficMatrix analytic =
-      core::ClusterSimulator::traffic_bytes_per_step(
-          par.decomposition(), par.schedule(), /*indirect_diagonals=*/true);
-  ASSERT_EQ(measured.size(), analytic.size());
-  for (std::size_t k = 0; k < measured.size(); ++k) {
-    ASSERT_EQ(measured[k].size(), analytic[k].size()) << "step " << k;
-    for (std::size_t p = 0; p < measured[k].size(); ++p) {
-      EXPECT_EQ(measured[k][p], analytic[k][p])
-          << "schedule step " << k << " pair " << p;
+  // The analytic per-schedule-step matrix (ClusterSimulator) against the
+  // payload MpiLite actually moved in one step. A matrix entry holds one
+  // direction of its pair's face (the exchange is symmetric) plus every
+  // diagonal hop riding that pair, so the wire carries the matrix total
+  // plus the faces' second direction.
+  Lattice lat = make_flow_lattice(Int3{24, 16, 8});
+  // An off-centre obstacle pulls the fluid-balanced cuts off the uniform
+  // ones, so the two decompositions have different face areas.
+  for (int z = 0; z < 6; ++z) {
+    for (int y = 0; y < 9; ++y) {
+      for (int x = 2; x < 11; ++x) {
+        lat.set_flag(Int3{x, y, z}, lbm::CellType::Solid);
+      }
     }
   }
+  const auto rb = static_cast<i64>(sizeof(Real));
+  std::vector<std::vector<core::SubDomain>> blocks;
+  for (const bool balanced : {false, true}) {
+    core::ParallelConfig cfg;
+    cfg.grid = netsim::NodeGrid{Int3{2, 2, 1}};
+    cfg.fluid_balanced = balanced;
+    core::ParallelLbm par(lat, cfg);
+    const core::Decomposition3& decomp = par.decomposition();
+    blocks.push_back(decomp.blocks());
+
+    const netsim::TrafficMatrix analytic =
+        core::ClusterSimulator::traffic_bytes_per_step(
+            decomp, par.schedule(), /*indirect_diagonals=*/true);
+    ASSERT_EQ(analytic.size(), par.schedule().steps.size());
+    i64 matrix_bytes = 0;
+    for (const auto& step : analytic) {
+      for (const i64 b : step) matrix_bytes += b;
+    }
+    // Every node sends each axial neighbour its 5-distribution face.
+    i64 face_bytes = 0;
+    for (int node = 0; node < decomp.num_nodes(); ++node) {
+      for (const auto& [face, nb] : decomp.axial_neighbors(node)) {
+        (void)nb;
+        face_bytes += decomp.face_area(node, face) * 5 * rb;
+      }
+    }
+    EXPECT_GT(matrix_bytes, face_bytes / 2) << "no diagonal hops counted";
+
+    i64 before = 0;
+    for (int r = 0; r < decomp.num_nodes(); ++r) {
+      before += par.world().rank_traffic(r).payload_values;
+    }
+    par.run(1);
+    i64 moved = 0;
+    for (int r = 0; r < decomp.num_nodes(); ++r) {
+      moved += par.world().rank_traffic(r).payload_values;
+    }
+    EXPECT_EQ((moved - before) * rb, matrix_bytes + face_bytes / 2)
+        << (balanced ? "fluid-balanced" : "uniform") << " decomposition";
+  }
+  EXPECT_NE(blocks[0][0].hi, blocks[1][0].hi)
+      << "the obstacle did not move the fluid-balanced cuts";
 }
 
 TEST(Obs, OverlapTimelineExportsToTrace) {

@@ -4,6 +4,7 @@
 // obstacles straddling block boundaries and mixed face BCs.
 #include <gtest/gtest.h>
 
+#include "core/cluster_sim.hpp"
 #include "core/parallel_lbm.hpp"
 #include "lbm/collision.hpp"
 #include "lbm/macroscopic.hpp"
@@ -187,7 +188,8 @@ TEST(Parallel, TrafficMatchesPaperFormula) {
   cfg.grid = netsim::NodeGrid{Int3{2, 2, 1}};
   ParallelLbm par(lat, cfg);
 
-  const auto bytes = par.traffic_bytes_per_step();
+  const auto bytes = ClusterSimulator::traffic_bytes_per_step(
+      par.decomposition(), par.schedule(), /*indirect_diagonals=*/true);
   ASSERT_EQ(bytes.size(), par.schedule().steps.size());
   // Face payload between x-neighbors: 5 * N * N * sizeof(Real), plus the
   // piggybacked diagonal chunk (N values) on some steps.

@@ -175,7 +175,9 @@ TEST(ResilienceTest, RetryLandsOnADifferentPartition) {
   ServiceConfig cfg = small_config(dir.path());
   cfg.workers = 1;
   cfg.trace = &rec;
-  cfg.partition.reliability = fast_reliability(5, 1);
+  // The healthy slot runs the same receive budget, so it must cover a
+  // peer's step under a sanitizer (~0.5 s); the dead slot fails in that.
+  cfg.partition.reliability = fast_reliability(100, 2);
   cfg.partition.max_rollbacks = 0;  // first comm failure is terminal
   cfg.partition_faults = {&dead, nullptr};
   cfg.retry.max_attempts = 3;
