@@ -1,6 +1,7 @@
 // Kernel microbenchmarks (google-benchmark): host LBM collision,
 // streaming, fused step, MRT, thermal update, GPU-simulated step, tracer
-// hop, and the pack/unpack paths of the border exchange — the memory-bound
+// hop, CRC32 (checkpoints and message envelopes), and the pack/unpack
+// paths of the border exchange — the memory-bound
 // hot paths in all three storage modes (double-buffered, in-place AA, and
 // the sparse fluid-index layout).
 // `--trace out.json` additionally runs a short instrumented Solver +
@@ -29,6 +30,8 @@
 #include "lbm/thermal.hpp"
 #include "obs/export.hpp"
 #include "tracer/tracer.hpp"
+#include "util/checksum.hpp"
+#include "util/rng.hpp"
 
 namespace {
 
@@ -232,6 +235,20 @@ void BM_TracerStep(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 10000);
 }
 BENCHMARK(BM_TracerStep);
+
+/// CRC32 throughput on one urban_step border face (128 KiB) and one
+/// service-flow checkpoint (11 MiB).
+void BM_Crc32(benchmark::State& state) {
+  std::vector<unsigned char> buf(static_cast<std::size_t>(state.range(0)));
+  Rng rng(3);
+  for (unsigned char& b : buf) b = static_cast<unsigned char>(rng.next_u64());
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(crc32(buf.data(), buf.size()));
+  }
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<i64>(buf.size()));
+}
+BENCHMARK(BM_Crc32)->Arg(128 << 10)->Arg(11 << 20);
 
 void BM_Moments(benchmark::State& state) {
   lbm::Lattice lat = make_lattice(48);

@@ -1,5 +1,6 @@
 #include "io/checkpoint.hpp"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -35,27 +36,6 @@ class BodyWriter {
   std::string buf_;
 };
 
-/// Cursor over a fully validated body; every read is bounds-checked so a
-/// malformed length field cannot run off the end.
-class BodyReader {
- public:
-  explicit BodyReader(const std::string& buf) : buf_(buf) {}
-  template <typename T>
-  void pod(T& v) {
-    bytes(&v, sizeof(T));
-  }
-  void bytes(void* p, std::size_t n) {
-    GC_CHECK_MSG(pos_ + n <= buf_.size(), "truncated checkpoint body");
-    std::memcpy(p, buf_.data() + pos_, n);
-    pos_ += n;
-  }
-  bool at_end() const { return pos_ == buf_.size(); }
-
- private:
-  const std::string& buf_;
-  std::size_t pos_ = 0;
-};
-
 /// Writes [magic][version][body_size][crc][body] to `path + ".tmp"` and
 /// commits with an atomic rename.
 void write_envelope(const std::string& path, const char magic[4], u32 version,
@@ -84,41 +64,97 @@ void write_envelope(const std::string& path, const char magic[4], u32 version,
   }
 }
 
-/// Reads and fully validates an envelope: magic, version (within
-/// [min_version, max_version]), exact body size, CRC32. Returns the body
-/// and, via `version_out`, the version actually found.
-std::string read_envelope(const std::string& path, const char magic[4],
-                          u32 min_version, u32 max_version,
-                          const char* what, u32* version_out = nullptr) {
-  std::ifstream in(path, std::ios::binary);
-  GC_CHECK_MSG(in.good(), "cannot open " << path);
+/// Streaming reader of one envelope. The constructor validates magic,
+/// version and that `body_size` is exactly the length of the rest of the
+/// file, before anything is allocated. Reads then copy the body in chunks
+/// straight into the caller's storage and CRC each chunk while it is
+/// still in cache; every read is bounds-checked so a malformed length
+/// field cannot run off the end. finish() throws unless the whole body
+/// was consumed and its CRC32 matches.
+class EnvelopeReader {
+ public:
+  EnvelopeReader(const std::string& path, const char magic[4],
+                 u32 min_version, u32 max_version, const char* what)
+      : in_(path, std::ios::binary), path_(path), what_(what) {
+    GC_CHECK_MSG(in_.good(), "cannot open " << path);
+    in_.seekg(0, std::ios::end);
+    const std::streamoff file_len = in_.tellg();
+    in_.seekg(0, std::ios::beg);
+    GC_CHECK_MSG(in_.good() && file_len >= 0, "cannot size " << path);
 
-  char m[4];
-  in.read(m, sizeof(m));
-  GC_CHECK_MSG(in.good() && std::memcmp(m, magic, 4) == 0,
-               path << " is not a gpucluster " << what);
-  u32 version = 0;
-  in.read(reinterpret_cast<char*>(&version), sizeof(version));
-  GC_CHECK_MSG(in.good() && version >= min_version && version <= max_version,
-               "unsupported " << what << " version " << version);
-  if (version_out) *version_out = version;
-  u64 size = 0;
-  u32 crc = 0;
-  in.read(reinterpret_cast<char*>(&size), sizeof(size));
-  in.read(reinterpret_cast<char*>(&crc), sizeof(crc));
-  GC_CHECK_MSG(in.good(), "truncated " << what << " header in " << path);
+    char m[4];
+    in_.read(m, sizeof(m));
+    GC_CHECK_MSG(in_.good() && std::memcmp(m, magic, 4) == 0,
+                 path << " is not a gpucluster " << what);
+    in_.read(reinterpret_cast<char*>(&version_), sizeof(version_));
+    GC_CHECK_MSG(in_.good() && version_ >= min_version &&
+                     version_ <= max_version,
+                 "unsupported " << what << " version " << version_);
+    in_.read(reinterpret_cast<char*>(&size_), sizeof(size_));
+    in_.read(reinterpret_cast<char*>(&crc_expected_), sizeof(crc_expected_));
+    GC_CHECK_MSG(in_.good(), "truncated " << what << " header in " << path);
 
-  std::string body(static_cast<std::size_t>(size), '\0');
-  in.read(body.data(), static_cast<std::streamsize>(size));
-  GC_CHECK_MSG(static_cast<u64>(in.gcount()) == size,
-               path << " is truncated: body has " << in.gcount()
-                    << " of " << size << " bytes");
-  in.get();
-  GC_CHECK_MSG(in.eof(), path << " has trailing bytes after the body");
-  GC_CHECK_MSG(crc32(body.data(), body.size()) == crc,
-               path << " failed its CRC32 check (corrupted " << what << ")");
-  return body;
-}
+    const u64 available = static_cast<u64>(file_len) - kHeaderBytes;
+    GC_CHECK_MSG(size_ <= available, path << " is truncated: body has "
+                                          << available << " of " << size_
+                                          << " bytes");
+    GC_CHECK_MSG(size_ == available,
+                 path << " has trailing bytes after the body");
+  }
+
+  u32 version() const { return version_; }
+  /// Body bytes not yet read.
+  u64 remaining() const { return size_ - pos_; }
+
+  template <typename T>
+  void pod(T& v) {
+    bytes(&v, sizeof(T));
+  }
+  void bytes(void* dst, std::size_t n) {
+    GC_CHECK_MSG(n <= remaining(), "truncated " << what_ << " body");
+    auto* p = static_cast<char*>(dst);
+    while (n > 0) {
+      const std::size_t k = std::min(n, kChunkBytes);
+      in_.read(p, static_cast<std::streamsize>(k));
+      GC_CHECK_MSG(static_cast<std::size_t>(in_.gcount()) == k,
+                   path_ << " ended early: " << what_ << " body short of "
+                         << size_ << " bytes");
+      crc_ = crc32(p, k, crc_);
+      pos_ += k;
+      p += k;
+      n -= k;
+    }
+  }
+  /// Reads (and CRCs) the rest of the body without keeping it.
+  void skip_rest() {
+    std::vector<char> chunk(static_cast<std::size_t>(
+        std::min<u64>(remaining(), kChunkBytes)));
+    while (remaining() > 0) {
+      bytes(chunk.data(),
+            static_cast<std::size_t>(std::min<u64>(remaining(), kChunkBytes)));
+    }
+  }
+  void finish() const {
+    GC_CHECK_MSG(remaining() == 0, what_ << " body has trailing bytes");
+    GC_CHECK_MSG(crc_ == crc_expected_,
+                 path_ << " failed its CRC32 check (corrupted " << what_
+                       << ")");
+  }
+
+ private:
+  static constexpr u64 kHeaderBytes = 4 + 4 + 8 + 4;
+  /// Small enough that a chunk is still in cache when it is CRCed.
+  static constexpr std::size_t kChunkBytes = std::size_t(64) << 10;
+
+  std::ifstream in_;
+  std::string path_;
+  const char* what_;
+  u32 version_ = 0;
+  u64 size_ = 0;
+  u32 crc_expected_ = 0;
+  u64 pos_ = 0;
+  u32 crc_ = 0;
+};
 }  // namespace
 
 void save_checkpoint(const std::string& path, const lbm::Lattice& lat) {
@@ -171,8 +207,18 @@ void save_checkpoint(const std::string& path, const lbm::Lattice& lat) {
 
 namespace {
 
-/// Reads the dims / velocity-count / storage-mode header prefix.
-lbm::StorageMode read_header_prefix(BodyReader& body, Int3* d) {
+/// Bytes of body after the dims / velocity-count / storage-mode prefix
+/// that do not scale with the cell count: face BCs, inlet state, link
+/// count. Each cell adds a flag byte and Q distributions; each curved
+/// link adds cell, dir and q.
+constexpr u64 kFixedTailBytes = 6 + 4 * sizeof(Real) + sizeof(u32);
+constexpr u64 kCellBytes = 1 + lbm::Q * sizeof(Real);
+constexpr u64 kLinkBytes = sizeof(i64) + sizeof(int) + sizeof(Real);
+
+/// Reads the dims / velocity-count / storage-mode header prefix and
+/// checks that the body left is exactly what those dims need plus whole
+/// curved links — before the caller allocates a lattice of that size.
+lbm::StorageMode read_header_prefix(EnvelopeReader& body, Int3* d) {
   body.pod(d->x);
   body.pod(d->y);
   body.pod(d->z);
@@ -184,14 +230,29 @@ lbm::StorageMode read_header_prefix(BodyReader& body, Int3* d) {
   body.pod(mode);
   GC_CHECK_MSG(mode <= static_cast<u8>(lbm::StorageMode::Sparse),
                "invalid storage mode in checkpoint");
+
+  GC_CHECK_MSG(d->x > 0 && d->y > 0 && d->z > 0,
+               "invalid checkpoint dimensions " << *d);
+  const u64 left = body.remaining();
+  GC_CHECK_MSG(left >= kFixedTailBytes, "truncated checkpoint body");
+  // Divisions, not products: the dims are untrusted and may overflow.
+  const u64 max_cells = (left - kFixedTailBytes) / kCellBytes;
+  const u64 x = static_cast<u64>(d->x);
+  const u64 y = static_cast<u64>(d->y);
+  const u64 z = static_cast<u64>(d->z);
+  GC_CHECK_MSG(x <= max_cells && y <= max_cells / x &&
+                   z <= max_cells / (x * y),
+               "checkpoint dimensions " << *d << " need more than its "
+                                        << left << "-byte body");
+  const u64 links_bytes = left - kFixedTailBytes - x * y * z * kCellBytes;
+  GC_CHECK_MSG(links_bytes % kLinkBytes == 0,
+               "checkpoint body size does not match its dimensions");
   return static_cast<lbm::StorageMode>(mode);
 }
 
 lbm::Lattice load_checkpoint_impl(const std::string& path,
                                   const lbm::StorageMode* forced_mode) {
-  const std::string raw =
-      read_envelope(path, kMagic, kMinVersion, kVersion, "checkpoint");
-  BodyReader body(raw);
+  EnvelopeReader body(path, kMagic, kMinVersion, kVersion, "checkpoint");
 
   Int3 d;
   const lbm::StorageMode recorded = read_header_prefix(body, &d);
@@ -234,6 +295,8 @@ lbm::Lattice load_checkpoint_impl(const std::string& path,
 
   u32 num_links;
   body.pod(num_links);
+  GC_CHECK_MSG(body.remaining() == u64(num_links) * kLinkBytes,
+               "checkpoint curved-link count does not match its body");
   for (u32 k = 0; k < num_links; ++k) {
     lbm::CurvedLink link;
     body.pod(link.cell);
@@ -241,7 +304,7 @@ lbm::Lattice load_checkpoint_impl(const std::string& path,
     body.pod(link.q);
     lat.add_curved_link(link);
   }
-  GC_CHECK_MSG(body.at_end(), "checkpoint body has trailing bytes");
+  body.finish();
   if (sparse_target) lat.convert_storage(lbm::StorageMode::Sparse);
   return lat;
 }
@@ -258,11 +321,11 @@ lbm::Lattice load_checkpoint(const std::string& path, lbm::StorageMode mode) {
 
 CheckpointInfo read_checkpoint_info(const std::string& path) {
   CheckpointInfo info;
-  const std::string raw =
-      read_envelope(path, kMagic, kMinVersion, kVersion, "checkpoint",
-                    &info.version);
-  BodyReader body(raw);
+  EnvelopeReader body(path, kMagic, kMinVersion, kVersion, "checkpoint");
+  info.version = body.version();
   info.storage = read_header_prefix(body, &info.dim);
+  body.skip_rest();
+  body.finish();
   return info;
 }
 
@@ -284,10 +347,8 @@ void save_manifest(const std::string& path, const ClusterManifest& m) {
 }
 
 ClusterManifest load_manifest(const std::string& path) {
-  const std::string raw = read_envelope(path, kManifestMagic,
-                                        kManifestVersion, kManifestVersion,
-                                        "manifest");
-  BodyReader body(raw);
+  EnvelopeReader body(path, kManifestMagic, kManifestVersion,
+                      kManifestVersion, "manifest");
   ClusterManifest m;
   body.pod(m.step);
   body.pod(m.grid.x);
@@ -298,16 +359,20 @@ ClusterManifest load_manifest(const std::string& path) {
   body.pod(m.lattice_dim.z);
   u32 ranks;
   body.pod(ranks);
-  GC_CHECK_MSG(ranks >= 1 && ranks <= 1u << 20, "implausible rank count");
+  // Each rank entry holds at least its u32 name length.
+  GC_CHECK_MSG(ranks >= 1 && ranks <= 1u << 20 &&
+                   ranks <= body.remaining() / sizeof(u32),
+               "implausible rank count");
   for (u32 r = 0; r < ranks; ++r) {
     u32 len;
     body.pod(len);
-    GC_CHECK_MSG(len <= 4096, "implausible rank file name length");
+    GC_CHECK_MSG(len <= 4096 && len <= body.remaining(),
+                 "implausible rank file name length");
     std::string name(len, '\0');
     body.bytes(name.data(), len);
     m.rank_files.push_back(std::move(name));
   }
-  GC_CHECK_MSG(body.at_end(), "manifest body has trailing bytes");
+  body.finish();
   return m;
 }
 

@@ -7,9 +7,12 @@
 //   [magic][u32 version][u64 body_size][u32 body_crc32][body]
 // written to a temporary sibling and committed with an atomic rename, so
 // a crash mid-write leaves either the old file or none. Loading verifies
-// magic, version, exact body size (truncation detection) and CRC32, and
-// throws gc::Error on any mismatch — a flipped byte or a half-written
-// file can never be mistaken for valid state.
+// magic, version and that body_size is exactly the rest of the file and
+// what the recorded dims need — all before anything is allocated — then
+// streams the body in chunks straight into the lattice, CRCing each
+// chunk as it lands, and accepts the result only if the whole-body CRC32
+// matches. Any mismatch throws gc::Error — a flipped byte, a half-written
+// file or a patched size field can never be mistaken for valid state.
 //
 // The header records the StorageMode the saved simulation was running
 // (the distribution planes themselves are always serialized in the

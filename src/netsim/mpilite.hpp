@@ -189,7 +189,6 @@ class MpiLite {
   /// stalls delay barriers. Not owned; must outlive the runs it is
   /// attached for. Call between runs only.
   void set_fault_spec(FaultSpec* spec);
-  FaultSpec* fault_spec() const { return faults_; }
 
   void set_reliability(const ReliabilityConfig& cfg);
   const ReliabilityConfig& reliability() const { return rel_; }

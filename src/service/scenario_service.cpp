@@ -316,8 +316,8 @@ ScenarioResult ScenarioService::run_scenario(const ScenarioRequest& req,
     // never occupy a partition and hit latency is independent of
     // cluster load.
     obs::ScopedSpan flow_span(cfg_.trace, "service.flow", worker, "service");
-    return compute_flow(req, worker, deadline_at, &res.flow_stats,
-                        &res.partition);
+    return compute_flow(req, std::move(lat), worker, deadline_at,
+                        &res.flow_stats, &res.partition);
   });
   res.flow_ms = flow_timer.millis();
   res.cache_hit = entry.hit;
@@ -333,6 +333,9 @@ ScenarioResult ScenarioService::run_scenario(const ScenarioRequest& req,
     tracer::TracerParams tp;
     tp.seed = req.tracer_seed;
     tracer::TracerCloud cloud(tp);
+    // The flow is fixed for the whole tracer phase: one memoized table
+    // serves every step.
+    tracer::HopTable hops(entry.flow);
     for (const Release& r : req.releases) {
       cloud.release(r.site, r.count);
       res.particles_released += r.count;
@@ -346,7 +349,7 @@ ScenarioResult ScenarioService::run_scenario(const ScenarioRequest& req,
           throw DeadlineExceeded("request deadline expired mid-tracer");
         }
       }
-      cloud.step(entry.flow);
+      cloud.step(hops);
     }
     res.particles_escaped = cloud.num_escaped();
     res.particles_alive = cloud.num_particles();
@@ -359,6 +362,7 @@ ScenarioResult ScenarioService::run_scenario(const ScenarioRequest& req,
 }
 
 lbm::Lattice ScenarioService::compute_flow(const ScenarioRequest& req,
+                                           lbm::Lattice cold_start,
                                            int worker, double deadline_at,
                                            obs::RunStats* stats,
                                            int* partition_out) {
@@ -373,8 +377,10 @@ lbm::Lattice ScenarioService::compute_flow(const ScenarioRequest& req,
     }
     // A fresh cold-start lattice per attempt: a failed run leaves its
     // state mid-rollback, and bit-exactness demands every attempt start
-    // from the same bytes.
-    lbm::Lattice lat = build_scenario_lattice(req);
+    // from the same bytes. The first attempt takes the caller's
+    // (identical) key lattice; only retries rebuild it.
+    lbm::Lattice lat =
+        attempt == 1 ? std::move(cold_start) : build_scenario_lattice(req);
     std::optional<core::PartitionPool::Lease> lease;
     try {
       lease = pool_.acquire_until(exclude, [this, deadline_at] {

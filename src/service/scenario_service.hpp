@@ -155,8 +155,11 @@ class ScenarioService {
   ScenarioResult run_scenario(const ScenarioRequest& req, int worker,
                               double deadline_at) GC_EXCLUDES(mu_);
   /// The cold-flow path: retry loop over partition leases under the
-  /// recovery driver. Returns the steady lattice; fills stats/partition.
-  lbm::Lattice compute_flow(const ScenarioRequest& req, int worker,
+  /// recovery driver, starting attempt 1 from `cold_start` (the request's
+  /// freshly built scenario lattice) and rebuilding it for each retry.
+  /// Returns the steady lattice; fills stats/partition.
+  lbm::Lattice compute_flow(const ScenarioRequest& req,
+                            lbm::Lattice cold_start, int worker,
                             double deadline_at, obs::RunStats* stats,
                             int* partition_out) GC_EXCLUDES(mu_);
   void set_queue_gauge(int depth);

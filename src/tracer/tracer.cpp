@@ -1,6 +1,7 @@
 #include "tracer/tracer.hpp"
 
 #include <algorithm>
+#include <limits>
 
 namespace gc::tracer {
 
@@ -17,32 +18,51 @@ void TracerCloud::release(Int3 site, int count) {
   particles_.insert(particles_.end(), static_cast<std::size_t>(count), site);
 }
 
+HopTable::HopTable(const lbm::Lattice& lat)
+    : lat_(lat), slot_(static_cast<std::size_t>(lat.num_cells()), -1) {
+  GC_CHECK_MSG(lat.num_cells() <= std::numeric_limits<i32>::max(),
+               "HopTable indexes at most 2^31-1 cells");
+}
+
+const std::array<Real, Q>& HopTable::cdf(i64 cell) {
+  i32& slot = slot_[static_cast<std::size_t>(cell)];
+  if (slot < 0) {
+    Real f[Q];
+    lat_.gather_cell(cell, f);
+    std::array<Real, Q>& acc = sums_.emplace_back();
+    Real sum = 0;
+    for (int i = 0; i < Q; ++i) {
+      sum += std::max(Real(0), f[i]);  // guard tiny negatives
+      acc[i] = sum;
+    }
+    slot = static_cast<i32>(sums_.size() - 1);
+  }
+  return sums_[static_cast<std::size_t>(slot)];
+}
+
 void TracerCloud::step(const lbm::Lattice& lat) {
+  HopTable hops(lat);
+  step(hops);
+}
+
+void TracerCloud::step(HopTable& hops) {
+  const lbm::Lattice& lat = hops.lattice();
   const Int3 d = lat.dim();
   std::vector<Int3> kept;
   kept.reserve(particles_.size());
 
   for (Int3 p : particles_) {
-    const i64 cell = lat.idx(p);
-
-    // Sample a link with probability f_i / rho.
-    Real rho = 0;
-    Real f[Q];
-    for (int i = 0; i < Q; ++i) {
-      f[i] = std::max(Real(0), lat.f(i, cell));  // guard tiny negatives
-      rho += f[i];
-    }
+    // Sample a link with probability f_i / rho: the first link whose
+    // running sum exceeds r. The sums never decrease, so a binary search
+    // finds the same link as a linear scan; none (r rounded up to rho)
+    // leaves the particle on the rest link.
+    const std::array<Real, Q>& acc = hops.cdf(lat.idx(p));
+    const Real rho = acc[Q - 1];
     int dir = 0;
     if (rho > Real(0)) {
       const Real r = Real(rng_.uniform()) * rho;
-      Real acc = 0;
-      for (int i = 0; i < Q; ++i) {
-        acc += f[i];
-        if (r < acc) {
-          dir = i;
-          break;
-        }
-      }
+      const auto it = std::upper_bound(acc.begin(), acc.end(), r);
+      if (it != acc.end()) dir = static_cast<int>(it - acc.begin());
     }
 
     Int3 q = p + C[dir];

@@ -1,7 +1,10 @@
 // CRC32 (the zlib/IEEE 802.3 polynomial) for integrity checking of
-// checkpoint files and message envelopes. Table-driven, byte-at-a-time:
-// plenty fast for payloads that are copied anyway, with zero setup cost
-// beyond a lazily built 1 KiB table.
+// checkpoint files and message envelopes. Slicing-by-16: sixteen
+// 256-entry tables, built at compile time, fold 16 input bytes per
+// iteration with independent lookups (several-fold faster than the
+// byte-at-a-time form), and a byte-wise tail handles the rest. Portable
+// C++ with no intrinsics; the result does not depend on host byte order
+// and equals the byte-at-a-time CRC for every input, offset and seed.
 #pragma once
 
 #include <cstddef>

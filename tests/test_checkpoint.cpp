@@ -192,6 +192,63 @@ TEST(CheckpointV2, ManifestRoundTrips) {
   EXPECT_EQ(r.rank_files, m.rank_files);
 }
 
+// A body_size field patched far past the file must be rejected with the
+// typed error before anything is allocated: FlowCache treats only Error as
+// a torn entry to recompute, and a bad_alloc (or a multi-GB zero fill)
+// would fail the query instead.
+namespace {
+void patch_body_size(std::string& content, u64 size) {
+  std::memcpy(content.data() + 8, &size, sizeof(size));
+}
+}  // namespace
+
+TEST(Checkpoint, RejectsOversizedBodyField) {
+  TempFile f("huge.gclb");
+  save_checkpoint(f.path(), make_state());
+  const std::string good = slurp(f.path());
+  for (const u64 size : {u64(1) << 40, u64(1) << 62, ~u64(0)}) {
+    std::string content = good;
+    patch_body_size(content, size);
+    spit(f.path(), content);
+    EXPECT_THROW(load_checkpoint(f.path()), Error) << size;
+    EXPECT_THROW(read_checkpoint_info(f.path()), Error) << size;
+  }
+}
+
+TEST(Checkpoint, ManifestRejectsOversizedBodyField) {
+  TempFile f("huge.gcmf");
+  ClusterManifest m;
+  m.rank_files = {"rank_0000.gclb"};
+  save_manifest(f.path(), m);
+  const std::string good = slurp(f.path());
+  for (const u64 size : {u64(1) << 40, u64(1) << 62, ~u64(0)}) {
+    std::string content = good;
+    patch_body_size(content, size);
+    spit(f.path(), content);
+    EXPECT_THROW(load_manifest(f.path()), Error) << size;
+  }
+}
+
+TEST(Checkpoint, RejectsDimensionsLargerThanTheBody) {
+  // Dims patched (and the CRC re-derived) so the envelope is intact but
+  // the dims claim more cells than the body holds: rejected before the
+  // lattice is allocated, even where the cell count overflows 64 bits.
+  TempFile f("dims.gclb");
+  save_checkpoint(f.path(), make_state());
+  const std::string good = slurp(f.path());
+  const std::size_t header = 4 + 4 + 8 + 4;
+  for (const Int3 d : {Int3{1 << 30, 1 << 30, 1 << 30}, Int3{9, 7, 6},
+                       Int3{0, 7, 5}, Int3{-9, 7, 5}}) {
+    std::string content = good;
+    std::memcpy(content.data() + header, &d, sizeof(d));
+    const u32 crc = crc32(content.data() + header, content.size() - header);
+    std::memcpy(content.data() + 16, &crc, sizeof(crc));
+    spit(f.path(), content);
+    EXPECT_THROW(load_checkpoint(f.path()), Error) << d;
+    EXPECT_THROW(read_checkpoint_info(f.path()), Error) << d;
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Format v4: the header records the StorageMode and loads auto-detect
 // it. Files in the older v2 (no mode field) and v3 (no Sparse) formats

@@ -174,7 +174,7 @@ TEST(Lint, RegistryTagsAndOffsetsAreClean) {
           "  comm.send(dst, netsim::kFace, payload);\n"
           "  comm.isend(r.via, netsim::kHop1Base + r.dst, pack());\n"
           "  comm.recv(src, netsim::kCgProxyBase + comm.rank());\n"
-          "  comm.sendrecv(partner, netsim::kTest5, data);\n"
+          "  comm.irecv(partner, netsim::kTest5);\n"
           "}\n");
   EXPECT_TRUE(fs.empty());
 }

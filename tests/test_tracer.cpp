@@ -1,9 +1,13 @@
 // Tracer dispersion: determinism, advection with the flow, wall blocking,
-// escape accounting, density deposition.
+// escape accounting, density deposition, and the memoized hop table
+// against the per-hop reference it replaced.
 #include <gtest/gtest.h>
+
+#include <algorithm>
 
 #include "lbm/lattice.hpp"
 #include "tracer/tracer.hpp"
+#include "util/rng.hpp"
 
 namespace gc::tracer {
 namespace {
@@ -112,6 +116,116 @@ TEST(Tracer, WallsReflect) {
   for (int s = 0; s < 25; ++s) cloud.step(lat);
   EXPECT_EQ(cloud.num_escaped(), 0);
   EXPECT_EQ(cloud.num_particles(), 200);
+}
+
+/// The per-hop loop the HopTable replaced, kept verbatim as the
+/// reference: gathers Q values per particle per step and scans linearly.
+struct ReferenceCloud {
+  Rng rng;
+  std::vector<Int3> particles;
+  i64 escaped = 0;
+
+  void step(const Lattice& lat) {
+    using lbm::C;
+    using lbm::Q;
+    const Int3 d = lat.dim();
+    std::vector<Int3> kept;
+    for (Int3 p : particles) {
+      const i64 cell = lat.idx(p);
+      Real rho = 0;
+      Real f[Q];
+      for (int i = 0; i < Q; ++i) {
+        f[i] = std::max(Real(0), lat.f(i, cell));
+        rho += f[i];
+      }
+      int dir = 0;
+      if (rho > Real(0)) {
+        const Real r = Real(rng.uniform()) * rho;
+        Real acc = 0;
+        for (int i = 0; i < Q; ++i) {
+          acc += f[i];
+          if (r < acc) {
+            dir = i;
+            break;
+          }
+        }
+      }
+      Int3 q = p + C[dir];
+      bool out = false;
+      for (int a = 0; a < 3; ++a) {
+        if (q[a] >= 0 && q[a] < d[a]) continue;
+        const auto face = static_cast<lbm::Face>(2 * a + (q[a] < 0 ? 0 : 1));
+        switch (lat.face_bc(face)) {
+          case FaceBc::Periodic:
+            q[a] = (q[a] + d[a]) % d[a];
+            break;
+          case FaceBc::Outflow:
+          case FaceBc::Inlet:
+            out = true;
+            break;
+          default:
+            q[a] = p[a];
+            break;
+        }
+      }
+      if (out) {
+        ++escaped;
+        continue;
+      }
+      if (lat.flag(q) == lbm::CellType::Solid) q = p;
+      kept.push_back(q);
+    }
+    particles.swap(kept);
+  }
+};
+
+TEST(Tracer, HopTableMatchesReferenceHop) {
+  // Every face kind the hop distinguishes, a building, a cell with
+  // rho = 0 (no RNG draw), and tiny negative distributions to clamp.
+  Lattice lat(Int3{12, 10, 8});
+  lat.set_face_bc(lbm::FACE_XMIN, FaceBc::Periodic);
+  lat.set_face_bc(lbm::FACE_XMAX, FaceBc::Periodic);
+  lat.set_face_bc(lbm::FACE_YMIN, FaceBc::Outflow);
+  lat.set_face_bc(lbm::FACE_YMAX, FaceBc::Wall);
+  lat.set_face_bc(lbm::FACE_ZMIN, FaceBc::Wall);
+  lat.set_face_bc(lbm::FACE_ZMAX, FaceBc::FreeSlip);
+  Rng fill(17);
+  for (i64 c = 0; c < lat.num_cells(); ++c) {
+    for (int i = 0; i < lbm::Q; ++i) {
+      const double u = fill.uniform();
+      lat.set_f(i, c, u < 0.1 ? Real(-1e-7 * u) : Real(0.1 * u));
+    }
+  }
+  lat.fill_solid_box(Int3{5, 4, 0}, Int3{7, 6, 4});
+  const Int3 still{2, 2, 2};
+  for (int i = 0; i < lbm::Q; ++i) lat.set_f(i, lat.idx(still), Real(0));
+  const Int3 sites[] = {still, Int3{0, 5, 4}, Int3{11, 1, 7}, Int3{4, 5, 1}};
+
+  for (u64 seed = 1; seed <= 5; ++seed) {
+    TracerParams p;
+    p.seed = seed;
+    TracerCloud memo(p);
+    TracerCloud one_step(p);
+    ReferenceCloud ref{Rng(seed), {}, 0};
+    for (const Int3 s : sites) {
+      memo.release(s, 40);
+      one_step.release(s, 40);
+      ref.particles.insert(ref.particles.end(), 40, s);
+    }
+    HopTable hops(lat);
+    for (int s = 0; s < 50; ++s) {
+      memo.step(hops);
+      one_step.step(lat);
+      ref.step(lat);
+      ASSERT_EQ(memo.particles(), ref.particles) << "seed " << seed
+                                                  << " step " << s;
+      ASSERT_EQ(one_step.particles(), ref.particles);
+      ASSERT_EQ(memo.num_escaped(), ref.escaped);
+      ASSERT_EQ(one_step.num_escaped(), ref.escaped);
+    }
+    EXPECT_GT(ref.escaped, 0);
+    EXPECT_LT(ref.escaped, 160);
+  }
 }
 
 TEST(Tracer, DepositAccumulatesCounts) {

@@ -281,7 +281,7 @@ void record_acquisition(Walk& w, const std::vector<std::string>& held,
 }
 
 const char* kBlockingMembers[] = {
-    "recv", "sendrecv", "barrier", "allreduce_sum", "wait_all",
+    "recv", "barrier", "allreduce_sum", "wait_all",
     "join", "acquire", "acquire_until", "run",
 };
 const char* kBlockingFree[] = {

@@ -259,7 +259,7 @@ void check_trace_names(Ctx& ctx) {
 // --- GCL003: raw MPI tags -------------------------------------------------
 
 void check_raw_tags(Ctx& ctx) {
-  const char* comm_fns[] = {"send", "isend", "irecv", "recv", "sendrecv"};
+  const char* comm_fns[] = {"send", "isend", "irecv", "recv"};
   for (std::size_t l = 0; l < ctx.v.code.size(); ++l) {
     const std::string& code = ctx.v.code[l];
     for (const char* fn : comm_fns) {

@@ -8,7 +8,7 @@
 //   GCL002 non-canonical-trace-name span/counter/gauge string literals at
 //                                  instrumentation sites must come from
 //                                  the canon in src/obs/span_canon.cpp
-//   GCL003 raw-mpi-tag             send/isend/irecv/recv/sendrecv tag
+//   GCL003 raw-mpi-tag             send/isend/irecv/recv tag
 //                                  arguments must come from netsim::Tag,
 //                                  never integer literals
 //   GCL004 include-hygiene         no "src/..."-relative includes; no
