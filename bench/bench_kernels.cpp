@@ -1,9 +1,9 @@
 // Kernel microbenchmarks (google-benchmark): host LBM collision,
 // streaming, fused step, MRT, thermal update, GPU-simulated step, tracer
 // hop, CRC32 (checkpoints and message envelopes), and the pack/unpack
-// paths of the border exchange — the memory-bound
-// hot paths in all three storage modes (double-buffered, in-place AA, and
-// the sparse fluid-index layout).
+// paths of the border exchange — the memory-bound hot paths in all three
+// storage modes (double-buffered, in-place AA, and the sparse fluid-index
+// layout).
 // `--trace out.json` additionally runs a short instrumented Solver +
 // ParallelLbm session and writes the Chrome-trace JSON plus its CSV
 // sibling; `--json out.json` writes machine-readable measured records
